@@ -19,6 +19,7 @@ Conventions used consistently across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import (
     InvalidDimension,
     InvalidParameter,
     NotCompletelyPositive,
-    NotHermitian,
     NotTracePreserving,
 )
 
@@ -97,7 +97,11 @@ class KrausSet:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """4x4 Choi matrix on input (x) output, trace 2."""
+    """4x4 Choi matrix on input (x) output, trace 2.
+
+    The matrix is read-only, so its eigendecomposition is computed once,
+    on first use, and shared by every verdict through :attr:`eigen`.
+    """
 
     matrix: np.ndarray
 
@@ -105,9 +109,7 @@ class ChoiMatrix:
         m = linalg.as_matrix(self.matrix)
         if m.shape != (4, 4):
             raise InvalidDimension(f"Choi matrix must be 4x4, got {m.shape}")
-        if linalg.frobenius(m - linalg.dagger(m)) > 1e-10 * max(linalg.frobenius(m), 1.0):
-            raise NotHermitian("Choi matrix is not Hermitian within tolerance")
-        m = (m + linalg.dagger(m)) / 2.0
+        m = linalg.require_hermitian(m, "Choi matrix")
         marginal = linalg.partial_trace(m, 2, 2, traced=1)
         if linalg.frobenius(marginal - I2) > TP_TOL:
             raise NotTracePreserving(
@@ -115,6 +117,11 @@ class ChoiMatrix:
                 f"{linalg.frobenius(marginal - I2):.3e}"
             )
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @cached_property
+    def eigen(self) -> linalg.HermitianEigen:
+        """Ascending eigenvalues and eigenvectors of :attr:`matrix`."""
+        return linalg.hermitian_eigen(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,27 +217,34 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
 
 
 def kraus_from_choi(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
-    """Extract Kraus operators by eigendecomposing the Choi matrix.
+    """Kraus operators from the eigenpairs of the Choi matrix.
 
-    Eigendirections with eigenvalue below ``tol`` (default
-    ``RANK_CUTOFF * tr(c)``) are dropped. Raises
+    One operator per eigenvalue above ``tol`` (default
+    ``RANK_CUTOFF * tr(c)``), in ascending eigenvalue order. The operators
+    are renormalized, ``K_i <- K_i G^{-1/2}`` with ``G = sum_i K_i^dag K_i``,
+    so trace preservation holds to rounding even when the dropped
+    directions carried weight. Raises
     :class:`NotCompletelyPositive` when the Choi matrix is not PSD.
     """
-    m = c.matrix
     if tol is None:
-        tol = RANK_CUTOFF * float(np.trace(m).real)
-    eig = linalg.hermitian_eigen(m)
+        tol = RANK_CUTOFF * float(np.trace(c.matrix).real)
+    eig = c.eigen
     if eig.eigenvalues[0] < -tol:
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {eig.eigenvalues[0]:.3e}"
         )
-    ops = []
-    for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam > tol:
-            ops.append(linalg.unvec(np.sqrt(lam) * v, 2, 2))
+    ops = [
+        linalg.unvec(np.sqrt(lam) * v, 2, 2)
+        for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T)
+        if lam > tol
+    ]
     if not ops:
         raise NotCompletelyPositive("Choi matrix is numerically zero")
-    return KrausSet(tuple(ops))
+    # closed-form 2x2 square root: sqrt(G) = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G))
+    gram = sum(linalg.dagger(k) @ k for k in ops)
+    s = np.sqrt(np.linalg.det(gram).real)
+    inv_root = np.linalg.inv((gram + s * I2) / np.sqrt(np.trace(gram).real + 2.0 * s))
+    return KrausSet(tuple(k @ inv_root for k in ops))
 
 
 def choi_from_transfer(t, T) -> ChoiMatrix:
@@ -265,6 +279,19 @@ def choi_from_bloch(b: BlochParams) -> ChoiMatrix:
         dtype=np.complex128,
     )
     return ChoiMatrix(c)
+
+
+def to_choi(channel) -> ChoiMatrix:
+    """The Choi matrix of a channel given in any supported representation."""
+    if isinstance(channel, ChoiMatrix):
+        return channel
+    if isinstance(channel, KrausSet):
+        return choi_from_kraus(channel)
+    if isinstance(channel, BlochParams):
+        return choi_from_bloch(channel)
+    if isinstance(channel, PauliTransfer):
+        return choi_from_transfer(channel.t, channel.T)
+    raise InvalidParameter(f"unsupported channel representation: {type(channel)!r}")
 
 
 def transfer_from_choi(c: ChoiMatrix) -> PauliTransfer:
@@ -324,7 +351,7 @@ def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
 
 def choi_rank(c: ChoiMatrix, tol: float = 1e-9) -> int:
     """Number of Choi eigenvalues above ``tol * tr(c)``."""
-    eigs = linalg.hermitian_eigenvalues(c.matrix)
+    eigs = c.eigen.eigenvalues
     trace = float(np.trace(c.matrix).real)
     if eigs[0] < -tol * trace:
         raise NotCompletelyPositive(f"Choi matrix has eigenvalue {eigs[0]:.3e}")

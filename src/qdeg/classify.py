@@ -27,21 +27,19 @@ from .channels import (
     BlochParams,
     ChoiMatrix,
     KrausSet,
-    PauliTransfer,
     Rank2Params,
     bell_mu,
     choi_from_bloch,
     choi_from_kraus,
-    choi_from_transfer,
     choi_rank,
     complement,
     depolarizing,
     kraus_from_choi,
     phi_of_identity,
+    to_choi,
     I2,
 )
 from .errors import (
-    InvalidParameter,
     NotAChannel,
     NotApplicable,
     NotCompletelyPositive,
@@ -114,17 +112,12 @@ class ClassificationReport:
 
 
 def _psd_eigenvalues(c: ChoiMatrix, tol: float) -> np.ndarray:
-    eigs = linalg.hermitian_eigenvalues(c.matrix)
+    eigs = c.eigen.eigenvalues
     if eigs[0] < -tol * max(1.0, linalg.frobenius(c.matrix)):
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {eigs[0]:.3e}; not a CP map"
         )
     return eigs
-
-
-def _clamped_det(eigs: np.ndarray, tol: float) -> float:
-    clamped = np.where(np.abs(eigs) <= tol, 0.0, np.clip(eigs, 0.0, None))
-    return float(np.prod(clamped))
 
 
 def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -135,27 +128,32 @@ def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """
     eigs = _psd_eigenvalues(c, tol)
     tr_c2 = float(np.sum(eigs * eigs))
-    det = _clamped_det(eigs, tol)
+    det = linalg.clamped_det(eigs, tol)
     phi_i = phi_of_identity(c)
     lhs = float(np.trace(phi_i @ phi_i).real)
     return Verdict.from_margin(lhs - tr_c2 + 4.0 * math.sqrt(det), tol)
 
 
-def degradable_test(k: KrausSet, tol: float = DEFAULT_TOL) -> Verdict:
+def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
     """Degradability by environment-dimension dispatch.
 
-    Choi rank 1 means a unitary channel (degradable); rank >= 3 excludes
-    degradability outright; for those cases the margin is reported as
-    ``2 - rank``. At rank 2 the complement is itself a qubit channel, so
-    the verdict is its antidegradability margin.
+    Accepts a channel in any representation. Choi rank 1 means a unitary
+    channel (degradable); rank >= 3 excludes degradability outright; for
+    those cases the margin is reported as ``2 - rank``. At rank 2 the
+    complement is itself a qubit channel, so the verdict is its
+    antidegradability margin. That complement is taken of the two Kraus
+    operators built from the top two Choi eigenpairs, whatever Kraus set
+    the caller gave, so a redundant set gives the same answer as a
+    minimal one.
     """
-    c = choi_from_kraus(k)
+    c = to_choi(channel)
     rank = choi_rank(c, tol)
     if rank == 1:
         return Verdict(state=VerdictState.YES, margin=1.0)
     if rank >= 3:
         return Verdict(state=VerdictState.NO, margin=float(2 - rank))
-    return antidegradable_test(choi_from_kraus(complement(k)), tol)
+    pair = kraus_from_choi(c, tol * float(np.trace(c.matrix).real))
+    return antidegradable_test(choi_from_kraus(complement(pair)), tol)
 
 
 def rank2_antidegradable(p: Rank2Params, tol: float = DEFAULT_TOL) -> Verdict:
@@ -225,8 +223,7 @@ def unital_antidegradable(lam, tol: float = DEFAULT_TOL) -> Verdict:
             f"lam outside the CP tetrahedron (min Bell weight {mu.min():.3e})"
         )
     nu = mu / 2.0
-    det = float(np.prod(np.where(np.abs(nu) <= tol, 0.0, np.clip(nu, 0.0, None))))
-    margin = 2.0 - float(np.sum(nu * nu)) + 4.0 * math.sqrt(det)
+    margin = 2.0 - float(np.sum(nu * nu)) + 4.0 * math.sqrt(linalg.clamped_det(nu, tol))
     return Verdict.from_margin(margin, tol)
 
 
@@ -298,27 +295,19 @@ def depolarizing_thresholds() -> tuple[float, float]:
     return _bisect(anti_margin, 0.0, 1.0), _bisect(eb_margin, 0.0, 1.0)
 
 
-def _coerce(channel):
-    """Normalize any supported representation to (ChoiMatrix, KrausSet | None)."""
-    if isinstance(channel, KrausSet):
-        return choi_from_kraus(channel), channel
-    if isinstance(channel, ChoiMatrix):
-        return channel, None
-    if isinstance(channel, BlochParams):
-        return choi_from_bloch(channel), None
-    if isinstance(channel, PauliTransfer):
-        return choi_from_transfer(channel.t, channel.T), None
-    raise InvalidParameter(f"unsupported channel representation: {type(channel)!r}")
-
-
 def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full classification of a channel given in any representation.
 
-    Raises :class:`NotAChannel` (with the offending Choi eigenvalue and
+    The CPTP gate, the rank, the Kraus operators and the antidegradability
+    margin share the Choi matrix's one cached eigendecomposition. Raises
+    :class:`NotAChannel` (with the offending Choi eigenvalue and
     trace-preservation residual) when the input is not CPTP within ``tol``.
+    Self-complementarity is decided in the environment basis of the
+    caller's Kraus operators when they form a minimal set, and of the
+    Choi eigenvectors otherwise.
     """
-    c, kraus = _coerce(channel)
-    eigs = linalg.hermitian_eigenvalues(c.matrix)
+    c = to_choi(channel)
+    eigs = c.eigen.eigenvalues
     tp_residual = linalg.frobenius(linalg.partial_trace(c.matrix, 2, 2, traced=1) - I2)
     if eigs[0] < -tol * max(1.0, linalg.frobenius(c.matrix)):
         raise NotAChannel(
@@ -326,9 +315,11 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
             min_choi_eig=float(eigs[0]),
             tp_residual=float(tp_residual),
         )
-    if kraus is None:
-        kraus = kraus_from_choi(c)
     rank = choi_rank(c, tol)
+    if isinstance(channel, KrausSet) and channel.env_dim == rank:
+        kraus = channel
+    else:
+        kraus = kraus_from_choi(c)
     unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
     if kraus.env_dim == 2:
         self_comp = self_complementary_test(kraus, tol)
@@ -336,7 +327,7 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
         self_comp = None
     return ClassificationReport(
         antidegradable=antidegradable_test(c, tol),
-        degradable=degradable_test(kraus, tol),
+        degradable=degradable_test(c, tol),
         entanglement_breaking=entanglement_breaking_test(c, tol),
         unital=bool(unital),
         self_complementary=self_comp,

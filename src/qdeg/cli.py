@@ -91,13 +91,17 @@ def _matrix_out(m: np.ndarray) -> list:
     return [[_complex_out(v) for v in row] for row in np.asarray(m)]
 
 
+def _number(v, name: str) -> float:
+    # bool is an int subclass, but a JSON true/false is no number
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SpecError(f"{name} must be a number, got {json.dumps(v)}")
+    return float(v)
+
+
 def _real_vector(v, name: str, n: int = 3) -> np.ndarray:
     if not isinstance(v, list) or len(v) != n:
         raise SpecError(f"{name} must be a list of {n} numbers")
-    try:
-        return np.array([float(x) for x in v])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{name} must contain numbers") from exc
+    return np.array([_number(x, name) for x in v])
 
 
 _NAMED_BUILDERS = {
@@ -127,13 +131,9 @@ def parse_channel_spec(doc: dict):
     if kind == "bloch":
         t = _real_vector(doc.get("t"), "t")
         if "T" in doc:
-            T = np.array(
-                [[float(x) for x in row] for row in doc["T"]]
-                if isinstance(doc["T"], list) and len(doc["T"]) == 3
-                else _fail("T must be a 3x3 nested list")
-            )
-            if T.shape != (3, 3):
+            if not isinstance(doc["T"], list) or len(doc["T"]) != 3:
                 raise SpecError("T must be a 3x3 nested list")
+            T = np.array([_real_vector(row, "T row") for row in doc["T"]])
             return ch.PauliTransfer(t=t, T=T)
         lam = _real_vector(doc.get("lambda"), "lambda")
         return ch.BlochParams(t=t, lam=lam)
@@ -146,13 +146,12 @@ def parse_channel_spec(doc: dict):
         for p in params:
             if p not in doc:
                 raise SpecError(f"named channel {name!r} needs parameter {p!r}")
-            args.append(doc[p] if p != "lambda" else _real_vector(doc[p], "lambda"))
+            if p == "lambda":
+                args.append(_real_vector(doc[p], "lambda"))
+            else:
+                args.append(_number(doc[p], f"parameter {p!r}"))
         return fn(*args)
     raise SpecError(f"unknown channel kind {kind!r}")
-
-
-def _fail(msg: str):
-    raise SpecError(msg)
 
 
 def _load_json(path: str):
@@ -176,19 +175,7 @@ def _emit(text: str, out: str | None) -> None:
 def _to_kraus(channel) -> ch.KrausSet:
     if isinstance(channel, ch.KrausSet):
         return channel
-    return ch.kraus_from_choi(_to_choi(channel))
-
-
-def _to_choi(channel) -> ch.ChoiMatrix:
-    if isinstance(channel, ch.ChoiMatrix):
-        return channel
-    if isinstance(channel, ch.KrausSet):
-        return ch.choi_from_kraus(channel)
-    if isinstance(channel, ch.BlochParams):
-        return ch.choi_from_bloch(channel)
-    if isinstance(channel, ch.PauliTransfer):
-        return ch.choi_from_transfer(channel.t, channel.T)
-    raise SpecError(f"unsupported channel object {type(channel)!r}")
+    return ch.kraus_from_choi(ch.to_choi(channel))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +215,12 @@ def cmd_classify(args) -> int:
 def cmd_convert(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
     if args.to == "choi":
-        doc = {"kind": "choi", "matrix": _matrix_out(_to_choi(channel).matrix)}
+        doc = {"kind": "choi", "matrix": _matrix_out(ch.to_choi(channel).matrix)}
     elif args.to == "kraus":
         kraus = _to_kraus(channel)
         doc = {"kind": "kraus", "operators": [_matrix_out(op) for op in kraus.operators]}
     elif args.to == "bloch":
-        r = ch.bloch_from_choi(_to_choi(channel))
+        r = ch.bloch_from_choi(ch.to_choi(channel))
         if isinstance(r, ch.BlochParams):
             doc = {"kind": "bloch", "t": list(r.t), "lambda": list(r.lam)}
         else:
@@ -258,7 +245,7 @@ def cmd_complement(args) -> int:
 
 def cmd_oracle(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
-    c = _to_choi(channel)
+    c = ch.to_choi(channel)
     analytic = antidegradable_test(c, tol=args.tol)
     result = se.oracle_extendible(c, tol=args.oracle_tol, max_iter=args.max_iter)
     doc = {
@@ -339,10 +326,9 @@ def cmd_sweep(args) -> int:
     for params, channel in _sweep_rows(doc):
         if param_names is None:
             param_names = list(params)
-        c = _to_choi(channel)
-        kraus = _to_kraus(channel)
+        c = ch.to_choi(channel)
         anti = antidegradable_test(c, tol=args.tol)
-        deg = degradable_test(kraus, tol=args.tol)
+        deg = degradable_test(c, tol=args.tol)
         eb = entanglement_breaking_test(c, tol=args.tol)
         values = {
             "anti_margin": anti.margin,

@@ -5,28 +5,21 @@ treats them as immutable. The vectorization convention is column-stacking,
 so ``vec(U @ K @ V) == kron(V.T, U) @ vec(K)`` holds for all conformable
 operands; every Choi-matrix construction in the package relies on it.
 
-The Hermitian eigensolver is a cyclic complex Jacobi iteration. At the
-4x4 / 8x8 sizes used here it is accurate to machine precision and has no
-external dependencies; tolerances are explicit arguments throughout.
+Hermitian eigendecompositions are LAPACK's (``numpy.linalg.eigh`` and
+``eigvalsh``), behind one Hermiticity check; tolerances are explicit
+arguments throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDimension, NotHermitian, NotPSD, NumericalFailure
 
-#: Relative Hermiticity tolerance accepted by the eigensolver.
+#: Relative Hermiticity tolerance, times max(1, ||m||_F).
 HERMITICITY_RTOL = 1e-10
-
-#: Relative off-diagonal mass at which the Jacobi sweep stops.
-JACOBI_RTOL = 1e-14
-
-#: Maximum number of Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
 
 #: Default absolute eigenvalue tolerance for PSD tests and determinant clamping.
 PSD_TOL = 1e-9
@@ -128,102 +121,46 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Hermitian part of a square matrix that is Hermitian within tolerance.
+
+    Raises :class:`NotHermitian`, naming ``what`` and the residual
+    ``||m - m^dag||_F``, when that residual exceeds
+    ``HERMITICITY_RTOL * max(1, ||m||_F)``.
+    """
     if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix of shape {m.shape} is not square")
-    scale = frobenius(m)
-    if frobenius(m - dagger(m)) > HERMITICITY_RTOL * max(scale, 1.0):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+        raise NotHermitian(f"{what} of shape {m.shape} is not square")
+    residual = frobenius(m - dagger(m))
+    bound = HERMITICITY_RTOL * max(frobenius(m), 1.0)
+    if residual > bound:
+        raise NotHermitian(
+            f"{what} is not Hermitian: ||m - m^dag||_F = {residual:.3e} exceeds {bound:.3e}"
+        )
     return (m + dagger(m)) / 2.0
 
 
-def _jacobi(m: np.ndarray, want_vectors: bool):
-    """Cyclic complex Jacobi sweeps; returns (diagonal, vectors or None).
-
-    Works on nested Python lists internally: at 4x4/8x8 scale that beats
-    numpy slicing by a wide margin, and this is the package's hot path.
-    """
-    n = m.shape[0]
-    scale = frobenius(m)
-    if scale == 0.0:
-        return np.zeros(n), (np.eye(n, dtype=np.complex128) if want_vectors else None)
-    a = [[complex(x) for x in row] for row in m]
-    v = None
-    if want_vectors:
-        v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    threshold = JACOBI_RTOL * scale
-    skip = threshold / n
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for i in range(n):
-            row = a[i]
-            for j in range(n):
-                if i != j:
-                    x = row[j]
-                    off2 += x.real * x.real + x.imag * x.imag
-        if math.sqrt(off2) <= threshold:
-            diag = np.array([a[i][i].real for i in range(n)])
-            vectors = np.array(v, dtype=np.complex128) if want_vectors else None
-            return diag, vectors
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p][q]
-                az = abs(z)
-                if az <= skip:
-                    continue
-                # factor the 2x2 subproblem into a phase times a real rotation
-                phase = z / az
-                tau = (a[q][q].real - a[p][p].real) / (2.0 * az)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sph = s * phase
-                sphc = sph.conjugate()
-                cph = c * phase
-                cphc = cph.conjugate()
-                for i in range(n):  # A <- A J
-                    row = a[i]
-                    x = row[p]
-                    y = row[q]
-                    row[p] = c * x - sphc * y
-                    row[q] = s * x + cphc * y
-                ap = a[p]
-                aq = a[q]
-                for j in range(n):  # A <- Jt A
-                    x = ap[j]
-                    y = aq[j]
-                    ap[j] = c * x - sph * y
-                    aq[j] = s * x + cph * y
-                ap[q] = 0j
-                aq[p] = 0j
-                if want_vectors:
-                    for i in range(n):
-                        row = v[i]
-                        x = row[p]
-                        y = row[q]
-                        row[p] = c * x - sphc * y
-                        row[q] = s * x + cphc * y
-    raise NumericalFailure(
-        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
 def hermitian_eigen(m) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix via cyclic Jacobi."""
-    a = _require_hermitian(as_matrix(m))
-    diag, v = _jacobi(a, want_vectors=True)
-    order = np.argsort(diag, kind="stable")
-    return HermitianEigen(eigenvalues=diag[order], eigenvectors=v[:, order])
+    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
+
+    The returned arrays are read-only, so one decomposition can be shared.
+    """
+    a = require_hermitian(as_matrix(m))
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    a = _require_hermitian(as_matrix(m))
-    diag, _ = _jacobi(a, want_vectors=False)
-    return np.sort(diag)
+    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
+    a = require_hermitian(as_matrix(m))
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
@@ -233,20 +170,23 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
     return bool(eigs[0] >= -tol * max(1.0, frobenius(m)))
 
 
-def det_from_eigenvalues(eigs: np.ndarray, tol: float = PSD_TOL) -> float:
-    """Clamped PSD determinant from precomputed eigenvalues.
+def clamped_det(eigs, tol: float = PSD_TOL) -> float:
+    """Determinant of a PSD matrix from its eigenvalues.
 
     Eigenvalues within [-tol, tol] count as exact zeros, so rank-deficient
-    matrices produce an exact zero determinant. An eigenvalue below -tol
-    raises :class:`NotPSD`.
+    matrices produce an exact zero determinant; negative ones beyond that
+    are clipped to zero.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size and eigs.min() < -tol:
-        raise NotPSD(f"eigenvalue {eigs.min():.3e} below -{tol:.1e}")
-    clamped = np.where(np.abs(eigs) <= tol, 0.0, eigs)
-    return float(np.prod(clamped))
+    return float(np.prod(np.where(np.abs(eigs) <= tol, 0.0, np.clip(eigs, 0.0, None))))
 
 
 def det_psd(m, tol: float = PSD_TOL) -> float:
-    """Determinant of a Hermitian PSD matrix with small-eigenvalue clamping."""
-    return det_from_eigenvalues(hermitian_eigenvalues(m), tol)
+    """Determinant of a Hermitian PSD matrix with small-eigenvalue clamping.
+
+    Raises :class:`NotPSD` when an eigenvalue lies below ``-tol``.
+    """
+    eigs = hermitian_eigenvalues(m)
+    if eigs[0] < -tol:
+        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{tol:.1e}")
+    return clamped_det(eigs, tol)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ChoiMatrix, I2
-from .errors import InvalidDimension, NotHermitian, NotPSD, NumericalFailure
+from .errors import InvalidDimension, NotPSD, NumericalFailure
 
 #: Default residual tolerance for declaring feasibility.
 ORACLE_TOL = 1e-7
@@ -98,9 +98,7 @@ class ExtensionProblem:
         m = linalg.as_matrix(self.target)
         if m.shape != (4, 4):
             raise InvalidDimension(f"target must be 4x4, got {m.shape}")
-        if linalg.frobenius(m - linalg.dagger(m)) > 1e-10 * max(1.0, linalg.frobenius(m)):
-            raise NotHermitian("target is not Hermitian within tolerance")
-        m = (m + linalg.dagger(m)) / 2.0
+        m = linalg.require_hermitian(m, "target")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise InvalidDimension(f"target trace must be 1, got {np.trace(m).real!r}")
         if np.linalg.eigvalsh(m)[0] < -self.tol:

@@ -27,6 +27,7 @@ from qdeg.channels import (
     rank2,
     stinespring,
     to_bell_basis,
+    to_choi,
     transfer_from_choi,
     unital,
 )
@@ -67,6 +68,28 @@ class TestTypes:
         m[0, 1] = 1.0
         with pytest.raises(NotHermitian):
             ChoiMatrix(m)
+
+    def test_choi_hermiticity_error_names_residual(self):
+        m = np.eye(4, dtype=complex) / 2
+        m[0, 1] = 1e-3
+        with pytest.raises(NotHermitian, match=r"Choi matrix is not Hermitian.*1\.414e-03"):
+            ChoiMatrix(m)
+
+    def test_choi_spectrum_cached_and_read_only(self):
+        c = choi_from_kraus(depolarizing(0.3))
+        assert c.eigen is c.eigen
+        assert not c.matrix.flags.writeable
+        assert not c.eigen.eigenvalues.flags.writeable
+        assert not c.eigen.eigenvectors.flags.writeable
+
+    def test_to_choi_any_representation(self):
+        k = depolarizing(0.3)
+        c = choi_from_kraus(k)
+        assert to_choi(c) is c
+        for rep in (k, bloch_from_choi(c), transfer_from_choi(c)):
+            assert np.linalg.norm(to_choi(rep).matrix - c.matrix) <= 1e-12
+        with pytest.raises(InvalidParameter):
+            to_choi(np.eye(4))
 
     def test_choi_output_marginal(self):
         with pytest.raises(NotTracePreserving):
@@ -135,6 +158,16 @@ class TestKrausFromChoi:
         c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1, 1, -1]))
         with pytest.raises(NotCompletelyPositive):
             kraus_from_choi(c)
+
+    def test_near_boundary_trace_preserving(self):
+        # the three eigenvalues p/4 fall below the rank cutoff; the kept
+        # operator alone misses trace preservation by about 3e-10
+        c = choi_from_kraus(depolarizing(3e-10))
+        k = kraus_from_choi(c)
+        assert len(k.operators) == 1
+        gram = sum(op.conj().T @ op for op in k.operators)
+        assert np.linalg.norm(gram - I2) <= 1e-14
+        assert np.linalg.norm(choi_from_kraus(k).matrix - c.matrix) <= 1e-9
 
 
 class TestBloch:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    haar_isometry,
     measure_prepare_channel,
     random_channel,
     random_rank3_bloch,
@@ -17,6 +18,7 @@ from qdeg.channels import (
     KrausSet,
     Rank2Params,
     amplitude_damping,
+    bloch_from_choi,
     choi_from_bloch,
     choi_from_kraus,
     completely_depolarizing,
@@ -45,6 +47,17 @@ from qdeg.errors import NotAChannel, NotApplicable, NotCompletelyPositive, Wrong
 from qdeg.linalg import kron
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
+VERDICTS = ("antidegradable", "degradable", "entanglement_breaking")
+
+
+def assert_same_report(rep, ref, margin_tol, fields=("unital", "choi_rank", "cp")):
+    """Equal verdict states and ``fields``; margins within ``margin_tol``."""
+    for name in VERDICTS:
+        got, want = getattr(rep, name), getattr(ref, name)
+        assert got.state is want.state, (name, got, want)
+        assert abs(got.margin - want.margin) <= margin_tol, (name, got, want)
+    for name in fields:
+        assert getattr(rep, name) == getattr(ref, name), name
 
 
 class TestVerdict:
@@ -337,6 +350,22 @@ class TestClassify:
             if rep.choi_rank == 1:
                 assert rep.degradable.state is YES
 
+    def test_redundant_kraus_set(self):
+        k1, k2 = rank2(0.3, 0.5).operators
+        redundant = KrausSet((k1, k2 / math.sqrt(2), k2 / math.sqrt(2)))
+        assert_same_report(
+            classify(redundant),
+            classify(rank2(0.3, 0.5)),
+            1e-12,
+            fields=("unital", "self_complementary", "choi_rank", "cp"),
+        )
+
+    def test_near_boundary_choi(self):
+        rep = classify(choi_from_kraus(depolarizing(3e-10)))
+        assert rep.choi_rank == 1
+        assert rep.degradable.state is YES
+        assert rep.antidegradable.state is NO
+
     def test_to_dict_round(self):
         d = classify(depolarizing(0.5)).to_dict()
         assert d["antidegradable"]["state"] == "yes"
@@ -376,3 +405,27 @@ class TestStructuralInvariants:
             w = rng.uniform()
             mix = ChoiMatrix(w * yes_chois[i] + (1 - w) * yes_chois[j])
             assert antidegradable_test(mix).state is not NO
+
+
+class TestRepresentationInvariance:
+    """Kraus (minimal and remixed), Choi and Bloch/transfer inputs of one
+    channel give one report; self-complementarity is basis-dependent and
+    left out."""
+
+    @staticmethod
+    def remix(k: KrausSet, count: int, rng) -> KrausSet:
+        # L_j = sum_i W_ji K_i with W^dag W = I is another Kraus set of the channel
+        w = haar_isometry(rng, count, k.env_dim)
+        return KrausSet(tuple(sum(w[j, i] * op for i, op in enumerate(k.operators)) for j in range(count)))
+
+    def test_all_representations_agree(self):
+        rng = np.random.default_rng(12)
+        channels = [identity(), amplitude_damping(0.6), depolarizing(0.5)]
+        channels += [random_channel(rng, env_dim=r) for r in (1, 2, 3, 4) for _ in range(4)]
+        for k in channels:
+            c = choi_from_kraus(k)
+            ref = classify(k)
+            reps = [c, bloch_from_choi(c)]
+            reps += [self.remix(k, n, rng) for n in (3, 4) if n >= k.env_dim]
+            for rep in reps:
+                assert_same_report(classify(rep), ref, 1e-10)

@@ -67,6 +67,26 @@ class TestClassifyCommand:
         code, _, _ = run(capsys, ["classify", path])
         assert code == 1
 
+    @pytest.mark.parametrize("name, param, value", [
+        ("depolarizing", "p", "0.5"),
+        ("amplitude_damping", "alpha", None),
+        ("depolarizing", "p", True),
+    ], ids=["string", "null", "boolean"])
+    def test_mistyped_parameter_exits_1(self, tmp_path, capsys, name, param, value):
+        path = write_spec(tmp_path, {"kind": "named", "name": name, param: value})
+        code, _, err = run(capsys, ["classify", path])
+        assert code == 1
+        assert err.startswith("error:") and f"parameter '{param}'" in err
+        assert "Traceback" not in err
+
+    def test_redundant_kraus_set(self, tmp_path, capsys):
+        k1, k2 = rank2(0.3, 0.5).operators
+        ops = [k1, k2 / np.sqrt(2), k2 / np.sqrt(2)]
+        doc = {"kind": "kraus", "operators": [[[[v.real, v.imag] for v in row] for row in k] for k in ops]}
+        code, out, _ = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert code == 0
+        assert json.loads(out)["choi_rank"] == 2
+
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "depolarizing", "p": 1.7})
         code, _, _ = run(capsys, ["classify", path])
@@ -119,6 +139,13 @@ class TestConvertCommand:
         assert code == 0
         doc = json.loads(out)
         assert np.allclose(doc["lambda"], [0.6, 0.6, 0.6], atol=1e-12)
+
+    def test_near_boundary_choi_to_kraus(self, tmp_path, capsys):
+        c = choi_from_kraus(depolarizing(3e-10)).matrix
+        path = write_spec(tmp_path, {"kind": "choi", "matrix": [[[v.real, v.imag] for v in row] for row in c]})
+        code, out, _ = run(capsys, ["convert", path, "--to", "kraus"])
+        assert code == 0
+        assert len(json.loads(out)["operators"]) == 1
 
     def test_roundtrip_kraus_choi(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": 0.9, "beta": 0.2})

@@ -5,6 +5,7 @@ from helpers import random_density, random_hermitian, random_unitary
 from qdeg.channels import BlochParams, choi_from_bloch
 from qdeg.errors import InvalidDimension, NotHermitian, NotPSD
 from qdeg.linalg import (
+    clamped_det,
     det_psd,
     hermitian_eigen,
     hermitian_eigenvalues,
@@ -189,6 +190,12 @@ class TestDetPsd:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             det_psd(np.diag([1.0, -1.0]))
+
+    def test_clamped_det_zeroes_and_clips(self):
+        assert clamped_det([2.0, 3.0, 5e-10]) == 0.0
+        assert clamped_det([2.0, 3.0, -1e-3]) == 0.0
+        assert clamped_det([2.0, 3.0, -1e-3], tol=1e-2) == 0.0
+        assert clamped_det([2.0, 3.0, 0.5]) == 3.0
 
     def test_matches_eigenvalue_product(self):
         rng = np.random.default_rng(10)
