@@ -36,6 +36,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+#: (I, X, Y, Z) as one (4, 2, 2) array.
+PAULI_BASIS = np.array((I2,) + PAULIS)
 
 #: Change of basis whose rows are the Bell vectors; diagonalizes unital Chois.
 BELL_F = np.array(
@@ -106,22 +108,35 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if m.shape != (4, 4):
+        m = validate_choi(self.matrix)
+        if m.ndim != 2:
             raise InvalidDimension(f"Choi matrix must be 4x4, got {m.shape}")
-        m = linalg.require_hermitian(m, "Choi matrix")
-        marginal = linalg.partial_trace(m, 2, 2, traced=1)
-        if linalg.frobenius(marginal - I2) > TP_TOL:
-            raise NotTracePreserving(
-                f"output marginal deviates from identity by "
-                f"{linalg.frobenius(marginal - I2):.3e}"
-            )
-        object.__setattr__(self, "matrix", _freeze(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @cached_property
     def eigen(self) -> linalg.HermitianEigen:
         """Ascending eigenvalues and eigenvectors of :attr:`matrix`."""
-        return linalg.hermitian_eigen(self.matrix)
+        return linalg._eigh(self.matrix)
+
+
+def validate_choi(m) -> np.ndarray:
+    """Hermitian part of a Choi matrix, or of each matrix of an
+    ``(..., 4, 4)`` stack, after the shape, Hermiticity and
+    trace-preservation checks (the output marginal must be I within
+    :data:`TP_TOL`). Errors name the failing residual and stack row.
+    """
+    m = linalg.as_matrix(m, stacked=True)
+    if m.shape[-2:] != (4, 4):
+        raise InvalidDimension(f"Choi matrix must be 4x4, got {m.shape}")
+    m = linalg.require_hermitian(m, "Choi matrix")
+    residual = np.linalg.norm(linalg._partial_trace(m, 2, 2, traced=1) - I2, axis=(-2, -1))
+    bad = linalg.first_violation(residual, TP_TOL)
+    if bad is not None:
+        raise NotTracePreserving(
+            f"output marginal{linalg.row_suffix(bad)} deviates from identity by {residual[bad]:.3e}"
+        )
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +224,17 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     """Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` of a qubit channel."""
     if k.out_dim != 2:
         raise InvalidDimension("choi_from_kraus expects 2x2 Kraus operators")
-    c = np.zeros((4, 4), dtype=np.complex128)
-    for op in k.operators:
-        v = linalg.vec(op)
-        c += np.outer(v, v.conj())
-    return ChoiMatrix(c)
+    return ChoiMatrix(kraus_to_choi(np.array(k.operators)))
+
+
+def kraus_to_choi(ops: np.ndarray) -> np.ndarray:
+    """``sum_i vec(K_i) vec(K_i)^dag`` for each ``(r, 2, 2)`` Kraus set of an
+    ``(..., r, 2, 2)`` stack; returns the ``(..., 4, 4)`` Choi stack, unchecked.
+    """
+    # row-major flattening of K^T is the column-stacking vec of K
+    v = ops.swapaxes(-1, -2).reshape(ops.shape[:-2] + (4,))
+    # einsum, not matmul: matmul's BLAS path raises a sweep's peak memory
+    return np.einsum("...ri,...rj->...ij", v, v.conj())
 
 
 def kraus_from_choi(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
@@ -267,18 +288,26 @@ def choi_from_transfer(t, T) -> ChoiMatrix:
 
 def choi_from_bloch(b: BlochParams) -> ChoiMatrix:
     """Choi matrix of the diagonal Pauli-basis channel (t, lam)."""
-    t1, t2, t3 = b.t
-    l1, l2, l3 = b.lam
-    c = 0.5 * np.array(
-        [
-            [1 + t3 + l3, t1 - 1j * t2, 0, l1 + l2],
-            [t1 + 1j * t2, 1 - t3 - l3, l1 - l2, 0],
-            [0, l1 - l2, 1 + t3 - l3, t1 - 1j * t2],
-            [l1 + l2, 0, t1 + 1j * t2, 1 - t3 + l3],
-        ],
-        dtype=np.complex128,
-    )
-    return ChoiMatrix(c)
+    return ChoiMatrix(bloch_to_choi(b.t, b.lam))
+
+
+def bloch_to_choi(t, lam) -> np.ndarray:
+    """Choi matrices of the diagonal Pauli-basis channels (t, lam), for
+    ``(..., 3)`` arrays t and lam; returns the ``(..., 4, 4)`` stack, unchecked.
+    """
+    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    l1, l2, l3 = np.moveaxis(np.asarray(lam, dtype=float), -1, 0)
+    c = np.zeros(np.broadcast_shapes(np.shape(t1), np.shape(l1)) + (4, 4), dtype=np.complex128)
+    c[..., 0, 0] = 1 + t3 + l3
+    c[..., 1, 1] = 1 - t3 - l3
+    c[..., 2, 2] = 1 + t3 - l3
+    c[..., 3, 3] = 1 - t3 + l3
+    c[..., 0, 1] = c[..., 2, 3] = t1 - 1j * t2
+    c[..., 1, 0] = c[..., 3, 2] = t1 + 1j * t2
+    c[..., 0, 3] = c[..., 3, 0] = l1 + l2
+    c[..., 1, 2] = c[..., 2, 1] = l1 - l2
+    c *= 0.5
+    return c
 
 
 def to_choi(channel) -> ChoiMatrix:
@@ -341,21 +370,22 @@ def apply_choi(c: ChoiMatrix, rho) -> np.ndarray:
     rho = linalg.as_matrix(rho)
     if rho.shape != (2, 2):
         raise InvalidDimension(f"state must be 2x2, got {rho.shape}")
-    return linalg.partial_trace(c.matrix @ np.kron(rho.T, I2), 2, 2, traced=0)
+    return linalg._partial_trace(c.matrix @ np.kron(rho.T, I2), 2, 2, traced=0)
 
 
 def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
     """Image of the identity, obtained as the input marginal of the Choi."""
-    return linalg.partial_trace(c.matrix, 2, 2, traced=0)
+    return linalg._partial_trace(c.matrix, 2, 2, traced=0)
 
 
 def choi_rank(c: ChoiMatrix, tol: float = 1e-9) -> int:
-    """Number of Choi eigenvalues above ``tol * tr(c)``."""
-    eigs = c.eigen.eigenvalues
-    trace = float(np.trace(c.matrix).real)
-    if eigs[0] < -tol * trace:
-        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {eigs[0]:.3e}")
-    return int(np.sum(eigs > tol * trace))
+    """Number of Choi eigenvalues above ``tol * tr(c)``.
+
+    Read from the verdict kernel, behind its CP gate.
+    """
+    from .classify import cp_margins  # the kernel lives with the verdicts
+
+    return int(cp_margins(c, tol).rank)
 
 
 def complement(k: KrausSet) -> KrausSet:
@@ -408,10 +438,16 @@ def depolarizing(p: float) -> KrausSet:
         raise InvalidParameter(f"depolarizing probability must be in [0, 1], got {p}")
     if p == 0.0:
         return identity()
+    return KrausSet(tuple(depolarizing_kraus(p)))
+
+
+def depolarizing_kraus(p) -> np.ndarray:
+    """Pauli Kraus operators sqrt(1 - 3p/4) I, sqrt(p/4) X, Y, Z of the
+    depolarizing channel, for p in [0, 1] of any shape: an ``(..., 4, 2, 2)`` array.
+    """
+    p = np.asarray(p, dtype=float)
     w = np.sqrt(p / 4.0)
-    return KrausSet(
-        (np.sqrt(1.0 - 3.0 * p / 4.0) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z)
-    )
+    return np.stack((np.sqrt(1.0 - 3.0 * p / 4.0), w, w, w), axis=-1)[..., None, None] * PAULI_BASIS
 
 
 def completely_dephasing() -> KrausSet:
@@ -424,9 +460,21 @@ def rank2(alpha: float, beta: float) -> KrausSet:
 
     Trace preservation holds for every real pair of angles.
     """
-    k1 = np.diag([np.cos(alpha), np.cos(beta)]).astype(np.complex128)
-    k2 = np.array([[0, np.sin(beta)], [np.sin(alpha), 0]], dtype=np.complex128)
-    return KrausSet((k1, k2))
+    return KrausSet(tuple(rank2_kraus(alpha, beta)))
+
+
+def rank2_kraus(alpha, beta) -> np.ndarray:
+    """Kraus operators diag(cos a, cos b) and [[0, sin b], [sin a, 0]] of the
+    canonical two-Kraus channel, for broadcastable angle arrays: an
+    ``(..., 2, 2, 2)`` array.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    ops = np.zeros(alpha.shape + (2, 2, 2), dtype=np.complex128)
+    ops[..., 0, 0, 0] = np.cos(alpha)
+    ops[..., 0, 1, 1] = np.cos(beta)
+    ops[..., 1, 0, 1] = np.sin(beta)
+    ops[..., 1, 1, 0] = np.sin(alpha)
+    return ops
 
 
 def dephasing(alpha: float) -> KrausSet:

@@ -9,6 +9,11 @@ Every three-valued verdict carries its raw margin (LHS - RHS of the
 governing inequality) so callers can re-threshold; Boundary means the
 margin is within ``tol`` of zero.
 
+Every Choi-spectrum margin comes from one kernel, :func:`verdict_kernel`,
+over a Choi matrix or an ``(..., 4, 4)`` stack of them; the scalar tests
+and :func:`classify` are its N=1 case, fed the cached spectrum of their
+:class:`ChoiMatrix`, and ``qdeg sweep`` calls it once for a whole grid.
+
 Rank-specialized closed forms are provided as independent evaluation
 routes through the channel parameters. They must agree in verdict state
 with the general Choi-spectrum test; the test suite enforces this.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .channels import (
     bell_mu,
     choi_from_bloch,
     choi_from_kraus,
-    choi_rank,
     complement,
     depolarizing,
     kraus_from_choi,
@@ -57,6 +62,13 @@ class VerdictState(str, enum.Enum):
     BOUNDARY = "boundary"
 
 
+def verdict_state(margin: float, tol: float) -> VerdictState:
+    """Boundary within ``tol`` of zero, else the sign of the margin."""
+    if abs(margin) <= tol:
+        return VerdictState.BOUNDARY
+    return VerdictState.YES if margin > 0 else VerdictState.NO
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Three-valued answer with the raw margin that produced it."""
@@ -66,13 +78,7 @@ class Verdict:
 
     @classmethod
     def from_margin(cls, margin: float, tol: float) -> "Verdict":
-        if abs(margin) <= tol:
-            state = VerdictState.BOUNDARY
-        elif margin > 0:
-            state = VerdictState.YES
-        else:
-            state = VerdictState.NO
-        return cls(state=state, margin=float(margin))
+        return cls(state=verdict_state(margin, tol), margin=float(margin))
 
     @property
     def holds(self) -> bool:
@@ -111,13 +117,52 @@ class ClassificationReport:
         }
 
 
-def _psd_eigenvalues(c: ChoiMatrix, tol: float) -> np.ndarray:
-    eigs = c.eigen.eigenvalues
-    if eigs[0] < -tol * max(1.0, linalg.frobenius(c.matrix)):
+class Margins(NamedTuple):
+    """Kernel output: one entry per Choi matrix (0-d arrays for one matrix)."""
+
+    anti: np.ndarray  # antidegradability margin
+    deg: np.ndarray  # degradability margin
+    eb: np.ndarray  # PPT margin: minimum eigenvalue of the partial transpose
+    rank: np.ndarray  # Choi rank: eigenvalues above tol * tr(C)
+    cp: np.ndarray  # minimum eigenvalue >= -tol * max(1, ||C||_F)
+    min_eig: np.ndarray  # minimum Choi eigenvalue
+
+
+def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> Margins:
+    """Every Choi-spectrum margin of a validated Choi matrix or ``(..., 4, 4)`` stack.
+
+    ``c`` must have passed :func:`~qdeg.channels.validate_choi`.
+    ``eigenvalues`` (ascending, last axis) are computed when not given.
+    Rows outside the CP set get margins too; ``cp`` says which rows those are.
+    """
+    eigs = linalg._eigvalsh(c) if eigenvalues is None else eigenvalues
+    min_eig = eigs[..., 0]
+    cp = min_eig >= -tol * np.maximum(np.linalg.norm(c, axis=(-2, -1)), 1.0)
+    trace = np.trace(c, axis1=-2, axis2=-1).real
+    rank = np.sum(eigs > tol * trace[..., None], axis=-1)
+    phi_i = linalg._partial_trace(c, 2, 2, traced=0)
+    tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
+    anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(linalg.clamped_det(eigs, tol))
+    # rank 1 is unitary (degradable), rank >= 3 is not degradable; at rank 2
+    # the complement's margin follows from the spectrum (see degradable_test)
+    deg_rank2 = eigs[..., 3] ** 2 + eigs[..., 2] ** 2 - tr_phi2
+    deg = np.where(rank == 2, deg_rank2, np.where(rank == 1, 1.0, 2.0 - rank))
+    pt = linalg._partial_transpose(c, 2, 2, transposed=1)
+    eb = linalg._eigvalsh(pt)[..., 0]
+    return Margins(anti, deg, eb, rank, cp, min_eig)
+
+
+def cp_margins(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Margins:
+    """The kernel on one Choi matrix and its cached spectrum, behind the CP gate.
+
+    Raises :class:`NotCompletelyPositive` with the offending eigenvalue.
+    """
+    m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
+    if not m.cp:
         raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {eigs[0]:.3e}; not a CP map"
+            f"Choi matrix has eigenvalue {m.min_eig:.3e}; not a CP map"
         )
-    return eigs
+    return m
 
 
 def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -126,12 +171,7 @@ def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     margin = tr(Phi(I)^2) - [tr(C^2) - 4 sqrt(det C)], with eigenvalues
     within ``tol`` of zero treated as exact zeros inside the determinant.
     """
-    eigs = _psd_eigenvalues(c, tol)
-    tr_c2 = float(np.sum(eigs * eigs))
-    det = linalg.clamped_det(eigs, tol)
-    phi_i = phi_of_identity(c)
-    lhs = float(np.trace(phi_i @ phi_i).real)
-    return Verdict.from_margin(lhs - tr_c2 + 4.0 * math.sqrt(det), tol)
+    return Verdict.from_margin(cp_margins(c, tol).anti, tol)
 
 
 def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
@@ -139,21 +179,25 @@ def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
 
     Accepts a channel in any representation. Choi rank 1 means a unitary
     channel (degradable); rank >= 3 excludes degradability outright; for
-    those cases the margin is reported as ``2 - rank``. At rank 2 the
-    complement is itself a qubit channel, so the verdict is its
-    antidegradability margin. That complement is taken of the two Kraus
-    operators built from the top two Choi eigenpairs, whatever Kraus set
-    the caller gave, so a redundant set gives the same answer as a
-    minimal one.
+    those cases the margin is reported as ``2 - rank``.
+
+    At rank 2 the complement is itself a qubit channel and the verdict is
+    its antidegradability margin, which needs only the spectrum of ``C``:
+    with the Stinespring isometry V: A -> B (x) E and the purification
+    ``|psi> = (I (x) V)|Omega>`` on reference (x) B (x) E, the Choi matrix
+    is ``C = tr_E |psi><psi|`` and the complement's is
+    ``C^c = tr_B |psi><psi|``, while ``Phi(I) = tr_RE |psi><psi|`` and
+    ``Phi^c(I) = tr_RB |psi><psi|``. Complementary marginals of a pure state
+    share their nonzero spectrum (Schmidt decomposition), so ``Phi^c(I)``
+    has the two nonzero eigenvalues of ``C``, and ``C^c`` has the
+    eigenvalues of ``Phi(I)`` padded with two zeros, hence
+    ``det C^c = 0``. The margin
+    ``tr(Phi^c(I)^2) - tr((C^c)^2) + 4 sqrt(det C^c)`` is therefore
+    ``lambda_3^2 + lambda_4^2 - tr(Phi(I)^2)`` over the two largest Choi
+    eigenvalues. No complement is built, so any Kraus set of the channel,
+    redundant or minimal, gives the same answer.
     """
-    c = to_choi(channel)
-    rank = choi_rank(c, tol)
-    if rank == 1:
-        return Verdict(state=VerdictState.YES, margin=1.0)
-    if rank >= 3:
-        return Verdict(state=VerdictState.NO, margin=float(2 - rank))
-    pair = kraus_from_choi(c, tol * float(np.trace(c.matrix).real))
-    return antidegradable_test(choi_from_kraus(complement(pair)), tol)
+    return Verdict.from_margin(cp_margins(to_choi(channel), tol).deg, tol)
 
 
 def rank2_antidegradable(p: Rank2Params, tol: float = DEFAULT_TOL) -> Verdict:
@@ -174,9 +218,7 @@ def rank3_antidegradable(b: BlochParams, tol: float = DEFAULT_TOL) -> Verdict:
     like lam = (1, 0, 0) drops to rank 2 and still satisfies the formula);
     full-rank input is rejected.
     """
-    c = choi_from_bloch(b)
-    eigs = _psd_eigenvalues(c, tol)
-    rank = int(np.sum(eigs > tol * float(np.trace(c.matrix).real)))
+    rank = int(cp_margins(choi_from_bloch(b), tol).rank)
     if rank > 3:
         raise WrongRank(f"expected a singular Choi matrix, got rank {rank}")
     margin = 1.0 + float(b.t @ b.t) - float(b.lam @ b.lam)
@@ -232,9 +274,7 @@ def entanglement_breaking_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdi
 
     margin = minimum eigenvalue of the partial transpose of C.
     """
-    pt = linalg.partial_transpose(c.matrix, 2, 2, transposed=1)
-    eigs = linalg.hermitian_eigenvalues(pt)
-    return Verdict.from_margin(float(eigs[0]), tol)
+    return Verdict.from_margin(verdict_kernel(c.matrix, tol, c.eigen.eigenvalues).eb, tol)
 
 
 def self_complementary_test(k: KrausSet, tol: float = DEFAULT_TOL) -> bool:
@@ -298,37 +338,39 @@ def depolarizing_thresholds() -> tuple[float, float]:
 def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full classification of a channel given in any representation.
 
-    The CPTP gate, the rank, the Kraus operators and the antidegradability
-    margin share the Choi matrix's one cached eigendecomposition. Raises
-    :class:`NotAChannel` (with the offending Choi eigenvalue and
-    trace-preservation residual) when the input is not CPTP within ``tol``.
-    Self-complementarity is decided in the environment basis of the
-    caller's Kraus operators when they form a minimal set, and of the
-    Choi eigenvectors otherwise.
+    Every margin, the rank and the CP gate come from one kernel call on the
+    Choi matrix's cached eigendecomposition, which the Kraus operators
+    share. Raises :class:`NotAChannel` (with the offending Choi eigenvalue
+    and trace-preservation residual) when the input is not CPTP within
+    ``tol``. Self-complementarity is decided in the environment basis of
+    the caller's Kraus operators when they form a minimal set, and of the
+    Choi eigenvectors above the rank cutoff otherwise.
     """
     c = to_choi(channel)
-    eigs = c.eigen.eigenvalues
-    tp_residual = linalg.frobenius(linalg.partial_trace(c.matrix, 2, 2, traced=1) - I2)
-    if eigs[0] < -tol * max(1.0, linalg.frobenius(c.matrix)):
+    m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
+    if not m.cp:
+        tp_residual = linalg.frobenius(linalg._partial_trace(c.matrix, 2, 2, traced=1) - I2)
         raise NotAChannel(
-            f"Choi matrix has eigenvalue {eigs[0]:.3e}; channel is not CP",
-            min_choi_eig=float(eigs[0]),
-            tp_residual=float(tp_residual),
+            f"Choi matrix has eigenvalue {m.min_eig:.3e}; channel is not CP",
+            min_choi_eig=float(m.min_eig),
+            tp_residual=tp_residual,
         )
-    rank = choi_rank(c, tol)
+    rank = int(m.rank)
     if isinstance(channel, KrausSet) and channel.env_dim == rank:
         kraus = channel
     else:
-        kraus = kraus_from_choi(c)
+        # the rank cutoff: one operator per counted eigenvalue, and no CP
+        # check stricter than the gate above
+        kraus = kraus_from_choi(c, tol * float(np.trace(c.matrix).real))
     unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
     if kraus.env_dim == 2:
         self_comp = self_complementary_test(kraus, tol)
     else:
         self_comp = None
     return ClassificationReport(
-        antidegradable=antidegradable_test(c, tol),
-        degradable=degradable_test(c, tol),
-        entanglement_breaking=entanglement_breaking_test(c, tol),
+        antidegradable=Verdict.from_margin(m.anti, tol),
+        degradable=Verdict.from_margin(m.deg, tol),
+        entanglement_breaking=Verdict.from_margin(m.eb, tol),
         unital=bool(unital),
         self_complementary=self_comp,
         choi_rank=rank,

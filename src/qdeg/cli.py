@@ -7,10 +7,16 @@ Commands:
     sweep       tabulate margins over a parameter grid (CSV)
     oracle      run the symmetric-extension feasibility oracle
 
-Channel descriptions are JSON (see README). Complex numbers are
-serialized as two-element [re, im] arrays and matrices as row-major
+Channel and sweep descriptions are JSON (see README.md). Complex numbers
+are serialized as two-element [re, im] arrays and matrices as row-major
 nested arrays. Output is deterministic: no timestamps, shortest
 round-trip float formatting.
+
+``sweep`` builds the Choi matrices of its whole grid as one stack and
+evaluates them in one call of the verdict kernel. Grid points outside the
+CP set (a unital ray with scale past the tetrahedron) are left out of the
+table, which keeps the grid's row order; the sweep exits 2 only when no
+grid point is CP.
 
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 input parsed
 but is not a valid channel, 3 numerical failure.
@@ -26,12 +32,7 @@ import numpy as np
 
 from . import channels as ch
 from . import symext as se
-from .classify import (
-    antidegradable_test,
-    classify,
-    degradable_test,
-    entanglement_breaking_test,
-)
+from .classify import antidegradable_test, classify, verdict_kernel, verdict_state
 from .errors import (
     InvalidDimension,
     InvalidParameter,
@@ -280,10 +281,13 @@ def _axis(doc, name: str) -> np.ndarray:
     spec = doc.get(name)
     if not isinstance(spec, dict):
         raise SpecError(f"sweep axis {name!r} missing or not an object")
-    try:
-        lo, hi, steps = float(spec["min"]), float(spec["max"]), int(spec["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"axis {name!r} needs numeric min/max/steps") from exc
+    if not {"min", "max", "steps"} <= spec.keys():
+        raise SpecError(f"axis {name!r} needs numeric min/max/steps")
+    lo = _number(spec["min"], f"axis {name!r} min")
+    hi = _number(spec["max"], f"axis {name!r} max")
+    steps = spec["steps"]
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise SpecError(f"axis {name!r} steps must be an integer, got {json.dumps(steps)}")
     if steps < 2:
         raise SpecError(f"axis {name!r} needs steps >= 2")
     if not lo < hi:
@@ -291,54 +295,56 @@ def _axis(doc, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _sweep_rows(doc):
+def _sweep_grid(doc):
+    """Parameter columns and the unchecked Choi stack of a sweep grid, in row order."""
     family = doc.get("family")
     if family == "rank2":
-        alphas = _axis(doc, "alpha")
-        betas = _axis(doc, "beta")
-        for a in alphas:
-            for b in betas:
-                yield {"alpha": a, "beta": b}, ch.rank2(a, b)
-    elif family == "depolarizing":
-        for p in _axis(doc, "p"):
-            yield {"p": p}, ch.depolarizing(min(max(p, 0.0), 1.0))
-    elif family == "unital":
+        alphas, betas = np.meshgrid(_axis(doc, "alpha"), _axis(doc, "beta"), indexing="ij")
+        alphas, betas = alphas.ravel(), betas.ravel()
+        return {"alpha": alphas, "beta": betas}, ch.kraus_to_choi(ch.rank2_kraus(alphas, betas))
+    if family == "depolarizing":
+        ps = _axis(doc, "p")
+        return {"p": ps}, ch.kraus_to_choi(ch.depolarizing_kraus(np.clip(ps, 0.0, 1.0)))
+    if family == "unital":
         direction = _real_vector(doc.get("direction"), "direction")
-        for s in _axis(doc, "scale"):
-            lam = s * direction
-            yield {
-                "scale": s,
-                "lambda1": lam[0],
-                "lambda2": lam[1],
-                "lambda3": lam[2],
-            }, ch.BlochParams(t=np.zeros(3), lam=lam)
-    else:
-        raise SpecError(f"unknown sweep family {family!r}")
+        scales = _axis(doc, "scale")
+        lam = scales[:, None] * direction
+        params = {"scale": scales, "lambda1": lam[:, 0], "lambda2": lam[:, 1], "lambda3": lam[:, 2]}
+        return params, ch.bloch_to_choi(np.zeros_like(lam), lam)
+    raise SpecError(f"unknown sweep family {family!r}")
 
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.input)
+    if not isinstance(doc, dict):
+        raise SpecError("sweep spec must be a JSON object")
     outputs = doc.get("outputs", list(_SWEEP_COLUMNS))
     if not isinstance(outputs, list) or any(c not in _SWEEP_COLUMNS for c in outputs):
         raise SpecError(f"outputs must be a subset of {_SWEEP_COLUMNS}")
+    columns, stack = _sweep_grid(doc)
+    m = verdict_kernel(ch.validate_choi(stack), tol=args.tol)
+    del stack  # free it before the rows are built: it sets the peak memory
+    if not m.cp.any():
+        raise NotCompletelyPositive(
+            f"no grid point is completely positive "
+            f"(largest minimum Choi eigenvalue {m.min_eig.max():.3e})"
+        )
+    # grid points outside the CP set are left out
+    param_names = list(columns)
+    keep = m.cp
+    params_by_row = zip(*(columns[k][keep].tolist() for k in param_names))
+    margins_by_row = zip(m.anti[keep].tolist(), m.deg[keep].tolist(), m.eb[keep].tolist())
     rows = []
-    param_names = None
-    for params, channel in _sweep_rows(doc):
-        if param_names is None:
-            param_names = list(params)
-        c = ch.to_choi(channel)
-        anti = antidegradable_test(c, tol=args.tol)
-        deg = degradable_test(c, tol=args.tol)
-        eb = entanglement_breaking_test(c, tol=args.tol)
+    for params, (anti, deg, eb) in zip(params_by_row, margins_by_row):
         values = {
-            "anti_margin": anti.margin,
-            "deg_margin": deg.margin,
-            "eb_margin": eb.margin,
-            "anti_state": anti.state.value,
-            "deg_state": deg.state.value,
-            "eb_state": eb.state.value,
+            "anti_margin": anti,
+            "deg_margin": deg,
+            "eb_margin": eb,
+            "anti_state": verdict_state(anti, args.tol).value,
+            "deg_state": verdict_state(deg, args.tol).value,
+            "eb_state": verdict_state(eb, args.tol).value,
         }
-        rows.append((params, values))
+        rows.append((dict(zip(param_names, params)), values))
     if args.format == "json":
         payload = [
             {**{k: v for k, v in params.items()}, **{k: values[k] for k in outputs}}

@@ -8,6 +8,13 @@ operands; every Choi-matrix construction in the package relies on it.
 Hermitian eigendecompositions are LAPACK's (``numpy.linalg.eigh`` and
 ``eigvalsh``), behind one Hermiticity check; tolerances are explicit
 arguments throughout.
+
+The checks and the underscore cores (``_partial_trace``,
+``_partial_transpose``, ``_eigh``, ``_eigvalsh``) also take ``(..., n, n)``
+stacks; one matrix is the N=1 case and needs no reshaping. The cores skip
+coercion and checks: they are for arrays the package has already validated,
+such as ``ChoiMatrix.matrix``. The public functions coerce their input and
+reject non-finite entries.
 """
 
 from __future__ import annotations
@@ -25,12 +32,15 @@ HERMITICITY_RTOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting non-finite entries.
+
+    With ``stacked`` an ``(..., rows, cols)`` stack is accepted as well.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise InvalidDimension(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise InvalidDimension("matrix entries must be finite")
     return m
 
@@ -38,6 +48,22 @@ def as_matrix(a) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
+
+
+def first_violation(residual, bound):
+    """Index of the first entry with ``residual > bound``, or None when none.
+
+    One matrix gives the index ``()``; a stack gives its row index.
+    """
+    bad = np.asarray(residual > bound)
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def row_suffix(index) -> str:
+    """Message suffix naming a stack row; empty for one matrix."""
+    return f" (row {', '.join(map(str, index))})" if index else ""
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -84,11 +110,15 @@ def partial_trace(m, dim_a: int, dim_b: int, traced: int) -> np.ndarray:
     """
     m = as_matrix(m)
     _check_bipartite(m, dim_a, dim_b)
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    return _partial_trace(m, dim_a, dim_b, traced)
+
+
+def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, traced: int) -> np.ndarray:
+    t = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if traced == 0:
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if traced == 1:
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise InvalidDimension(f"traced must be 0 or 1, got {traced!r}")
 
 
@@ -99,14 +129,16 @@ def partial_transpose(m, dim_a: int, dim_b: int, transposed: int) -> np.ndarray:
     """
     m = as_matrix(m)
     _check_bipartite(m, dim_a, dim_b)
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if transposed == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif transposed == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
+    return _partial_transpose(m, dim_a, dim_b, transposed)
+
+
+def _partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, transposed: int) -> np.ndarray:
+    t = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    if transposed not in (0, 1):
         raise InvalidDimension(f"transposed must be 0 or 1, got {transposed!r}")
-    return t.reshape(dim_a * dim_b, dim_a * dim_b)
+    # the factor's row and column axes sit 2 apart: -4/-2 for the first, -3/-1 for the second
+    t = t.swapaxes(-4, -2) if transposed == 0 else t.swapaxes(-3, -1)
+    return t.reshape(m.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,29 +154,28 @@ class HermitianEigen:
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Hermitian part of a square matrix that is Hermitian within tolerance.
+    """Hermitian part of a square matrix (or of each matrix of a stack)
+    that is Hermitian within tolerance.
 
-    Raises :class:`NotHermitian`, naming ``what`` and the residual
-    ``||m - m^dag||_F``, when that residual exceeds
+    Raises :class:`NotHermitian`, naming ``what``, the stack row and the
+    residual ``||m - m^dag||_F``, when that residual exceeds
     ``HERMITICITY_RTOL * max(1, ||m||_F)``.
     """
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise NotHermitian(f"{what} of shape {m.shape} is not square")
-    residual = frobenius(m - dagger(m))
-    bound = HERMITICITY_RTOL * max(frobenius(m), 1.0)
-    if residual > bound:
+    h = m.conj().swapaxes(-1, -2)
+    residual = np.linalg.norm(m - h, axis=(-2, -1))
+    bound = HERMITICITY_RTOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
+    bad = first_violation(residual, bound)
+    if bad is not None:
         raise NotHermitian(
-            f"{what} is not Hermitian: ||m - m^dag||_F = {residual:.3e} exceeds {bound:.3e}"
+            f"{what}{row_suffix(bad)} is not Hermitian: ||m - m^dag||_F = "
+            f"{residual[bad]:.3e} exceeds {bound[bad]:.3e}"
         )
-    return (m + dagger(m)) / 2.0
+    return (m + h) / 2.0
 
 
-def hermitian_eigen(m) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
-
-    The returned arrays are read-only, so one decomposition can be shared.
-    """
-    a = require_hermitian(as_matrix(m))
+def _eigh(a: np.ndarray) -> HermitianEigen:
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -154,13 +185,24 @@ def hermitian_eigen(m) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
-    a = require_hermitian(as_matrix(m))
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+
+
+def hermitian_eigen(m) -> HermitianEigen:
+    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
+
+    The returned arrays are read-only, so one decomposition can be shared.
+    """
+    return _eigh(require_hermitian(as_matrix(m)))
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
+    return _eigvalsh(require_hermitian(as_matrix(m)))
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
@@ -170,15 +212,16 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
     return bool(eigs[0] >= -tol * max(1.0, frobenius(m)))
 
 
-def clamped_det(eigs, tol: float = PSD_TOL) -> float:
-    """Determinant of a PSD matrix from its eigenvalues.
+def clamped_det(eigs, tol: float = PSD_TOL):
+    """Determinant of a PSD matrix from its eigenvalues (last axis).
 
     Eigenvalues within [-tol, tol] count as exact zeros, so rank-deficient
     matrices produce an exact zero determinant; negative ones beyond that
-    are clipped to zero.
+    are clipped to zero. One spectrum gives a float, a stack an array.
     """
     eigs = np.asarray(eigs, dtype=float)
-    return float(np.prod(np.where(np.abs(eigs) <= tol, 0.0, np.clip(eigs, 0.0, None))))
+    det = np.prod(np.where(np.abs(eigs) <= tol, 0.0, np.clip(eigs, 0.0, None)), axis=-1)
+    return float(det) if det.ndim == 0 else det
 
 
 def det_psd(m, tol: float = PSD_TOL) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qdeg.channels import BlochParams, KrausSet
+from qdeg.classify import classify
 
 
 def random_unitary(rng, n: int = 2) -> np.ndarray:
@@ -121,3 +122,12 @@ def random_tetra_lambda(rng) -> np.ndarray:
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
     w = rng.dirichlet(np.ones(4))
     return w @ verts
+
+
+def assert_sweep_row_matches_classify(row: dict, channel, margin_tol: float = 1e-12) -> None:
+    """A `qdeg sweep` row has the states of classify(channel) and its margins within margin_tol."""
+    rep = classify(channel)
+    for key, name in (("anti", "antidegradable"), ("deg", "degradable"), ("eb", "entanglement_breaking")):
+        verdict = getattr(rep, name)
+        assert row[f"{key}_state"] == verdict.state.value, (row, name)
+        assert abs(row[f"{key}_margin"] - verdict.margin) <= margin_tol, (row, name)

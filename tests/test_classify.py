@@ -366,6 +366,16 @@ class TestClassify:
         assert rep.degradable.state is YES
         assert rep.antidegradable.state is NO
 
+    def test_eigenvalue_inside_cp_tolerance(self):
+        # min eigenvalue -5e-10 passes the CP gate (-tol * ||C||_F); the
+        # Kraus operators must not apply a stricter check of their own
+        omega = np.array([1, 0, 0, 1.0])
+        c = ChoiMatrix((1 + 1e-9) * np.outer(omega, omega) - 0.5e-9 * np.eye(4))
+        assert c.eigen.eigenvalues[0] < -4e-10
+        rep = classify(c)
+        assert rep.cp is True and rep.choi_rank == 1
+        assert rep.degradable.state is YES and rep.antidegradable.state is NO
+
     def test_to_dict_round(self):
         d = classify(depolarizing(0.5)).to_dict()
         assert d["antidegradable"]["state"] == "yes"

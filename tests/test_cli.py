@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qdeg.channels import choi_from_kraus, depolarizing, rank2
+from helpers import assert_sweep_row_matches_classify
+from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, rank2
 from qdeg.cli import main
 
 
@@ -315,15 +316,88 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_states_match_classify(self, tmp_path, capsys):
-        spec = {"family": "depolarizing", "p": {"min": 0.0, "max": 1.0, "steps": 11}}
-        path = write_spec(tmp_path, spec)
-        _, out, _ = run(capsys, ["sweep", path])
-        for line in out.strip().split("\n")[1:]:
-            cells = line.split(",")
-            p = float(cells[0])
-            chan = write_spec(tmp_path, {"kind": "named", "name": "depolarizing", "p": p}, "one.json")
-            _, cls_out, _ = run(capsys, ["classify", chan])
-            doc = json.loads(cls_out)
-            assert doc["antidegradable"]["state"] == cells[4]
-            assert doc["degradable"]["state"] == cells[5]
-            assert doc["entanglement_breaking"]["state"] == cells[6]
+        # each family's rows against classify() of the same channel
+        specs = [
+            {"family": "depolarizing", "p": {"min": -0.1, "max": 1.1, "steps": 13}},
+            {"family": "rank2", "alpha": {"min": 0.0, "max": 3.0, "steps": 7},
+             "beta": {"min": -0.5, "max": 1.6, "steps": 6}},
+            {"family": "unital", "direction": [0.9, -0.2, 0.4], "scale": {"min": 0.0, "max": 0.6, "steps": 9}},
+        ]
+        for spec in specs:
+            code, out, _ = run(capsys, ["sweep", write_spec(tmp_path, spec)])
+            assert code == 0
+            rows = sweep_rows(out)
+            assert len(rows) == int(np.prod([spec[k]["steps"] for k in spec if k in AXES]))
+            for row in rows:
+                assert_sweep_row_matches_classify(row, channel_of_row(spec, row))
+
+    @pytest.mark.parametrize("axis", [
+        {"min": "0.1", "max": True, "steps": "3"},
+        {"min": "0.1", "max": 1.0, "steps": 3},
+        {"min": 0.1, "max": True, "steps": 3},
+        {"min": 0.1, "max": 1.0, "steps": "3"},
+        {"min": 0.1, "max": 1.0, "steps": 3.0},
+        {"min": 0.1, "max": 1.0, "steps": True},
+        {"min": None, "max": 1.0, "steps": 3},
+        {"max": 1.0, "steps": 3},
+    ], ids=["all-three", "string-min", "bool-max", "string-steps", "float-steps", "bool-steps", "null-min", "missing-min"])
+    def test_mistyped_axis_exits_1(self, tmp_path, capsys, axis):
+        code, out, err = run(capsys, ["sweep", write_spec(tmp_path, {"family": "depolarizing", "p": axis})])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "axis 'p'" in err and "Traceback" not in err
+
+    def test_document_must_be_an_object(self, tmp_path, capsys):
+        code, _, err = run(capsys, ["sweep", write_spec(tmp_path, [1, 2])])
+        assert code == 1 and err.startswith("error:")
+
+    def test_unital_ray_crossing_cp_set_keeps_cp_rows(self, tmp_path, capsys):
+        direction = np.array([0.3, -0.5, 0.8])
+        spec = {"family": "unital", "direction": direction.tolist(),
+                "scale": {"min": 0.05, "max": 1.6, "steps": 40}}
+        scales = np.linspace(0.05, 1.6, 40)
+        inside = [s for s in scales if bell_mu(s * direction).min() >= 0.0]
+        assert 0 < len(inside) < len(scales)
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, ["sweep", write_spec(tmp_path, spec), "--format", fmt])
+            assert code == 0 and err == ""
+            rows = json.loads(out) if fmt == "json" else sweep_rows(out)
+            assert [row["scale"] for row in rows] == [float(s) for s in inside]
+            for row in rows:
+                assert_sweep_row_matches_classify(row, channel_of_row(spec, row))
+        # the same rows as a sweep over the in-set part of the grid alone
+        code, out, _ = run(capsys, ["sweep", write_spec(tmp_path, spec), "--format", "json"])
+        crossing = json.loads(out)
+        spec_in = dict(spec, scale={"min": float(inside[0]), "max": float(inside[-1]), "steps": len(inside)})
+        code_in, out_in, _ = run(capsys, ["sweep", write_spec(tmp_path, spec_in), "--format", "json"])
+        assert code_in == 0
+        for a, b in zip(crossing, json.loads(out_in)):
+            assert abs(a["scale"] - b["scale"]) <= 1e-12
+            for k in ("anti", "deg", "eb"):
+                assert a[f"{k}_state"] == b[f"{k}_state"]
+                assert abs(a[f"{k}_margin"] - b[f"{k}_margin"]) <= 1e-12
+
+    def test_sweep_with_no_cp_point_exits_2(self, tmp_path, capsys):
+        spec = {"family": "unital", "direction": [1.0, 1.0, -1.0], "scale": {"min": 1.5, "max": 2.0, "steps": 5}}
+        code, out, err = run(capsys, ["sweep", write_spec(tmp_path, spec)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a channel:") and "completely positive" in err
+
+
+AXES = ("alpha", "beta", "p", "scale")
+
+
+def sweep_rows(csv_text: str) -> list:
+    lines = csv_text.strip().split("\n")
+    header = lines[0].split(",")
+    return [
+        {k: (v if k.endswith("_state") else float(v)) for k, v in zip(header, line.split(","))}
+        for line in lines[1:]
+    ]
+
+
+def channel_of_row(spec: dict, row: dict):
+    if spec["family"] == "rank2":
+        return rank2(row["alpha"], row["beta"])
+    if spec["family"] == "depolarizing":
+        return depolarizing(min(max(row["p"], 0.0), 1.0))
+    return BlochParams(t=np.zeros(3), lam=row["scale"] * np.array(spec["direction"]))
