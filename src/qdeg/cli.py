@@ -18,6 +18,11 @@ CP set (a unital ray with scale past the tetrahedron) are left out of the
 table, which keeps the grid's row order; the sweep exits 2 only when no
 grid point is CP.
 
+``oracle --out PATH`` writes the oracle's proof of its answer as JSON: the
+8x8 extension under ``"witness"`` when feasible, the 8x8 PSD dual
+certificate under ``"certificate"`` when infeasible; an inconclusive run
+writes no file.
+
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 input parsed
 but is not a valid channel, 3 numerical failure.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -96,7 +102,14 @@ def _number(v, name: str) -> float:
     # bool is an int subclass, but a JSON true/false is no number
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecError(f"{name} must be a number, got {json.dumps(v)}")
-    return float(v)
+    # the JSON literals NaN and Infinity, and integers beyond the float range
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecError(f"{name} must be a finite number, got {json.dumps(v)}")
+    return x
 
 
 def _real_vector(v, name: str, n: int = 3) -> np.ndarray:
@@ -257,9 +270,11 @@ def cmd_oracle(args) -> int:
         },
         "analytic": {"state": analytic.state.value, "margin": analytic.margin},
     }
-    if args.out and result.witness is not None:
+    proof = {"witness": result.witness, "certificate": result.certificate}
+    proof = {k: _matrix_out(m) for k, m in proof.items() if m is not None}
+    if args.out and proof:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            json.dump({"witness": _matrix_out(result.witness)}, fh, indent=2)
+            json.dump(proof, fh, indent=2)
             fh.write("\n")
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK

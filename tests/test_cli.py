@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,15 @@ class TestClassifyCommand:
         assert code == 1
         assert err.startswith("error:") and f"parameter '{param}'" in err
         assert "Traceback" not in err
+
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": math.inf, "beta": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["classify", path])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "parameter 'alpha'" in err and "finite" in err
 
     def test_redundant_kraus_set(self, tmp_path, capsys):
         k1, k2 = rank2(0.3, 0.5).operators
@@ -226,6 +237,19 @@ class TestOracleCommand:
         assert np.linalg.eigvalsh(w)[0] >= -1e-7
 
 
+    def test_certificate_file(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "named", "name": "identity"})
+        cert_path = tmp_path / "certificate.json"
+        code, out, _ = run(capsys, ["oracle", path, "--out", str(cert_path)])
+        assert code == 0 and json.loads(out)["oracle"]["status"] == "infeasible"
+        doc = json.loads(cert_path.read_text())
+        assert list(doc) == ["certificate"]
+        w = matrix_from_json(doc["certificate"])
+        assert w.shape == (8, 8)
+        assert np.linalg.norm(w - w.conj().T) <= 1e-12
+        assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
+
+
 class TestSweepCommand:
     def test_rank2_sign_pattern(self, tmp_path, capsys):
         spec = {
@@ -345,6 +369,16 @@ class TestSweepCommand:
         code, out, err = run(capsys, ["sweep", write_spec(tmp_path, {"family": "depolarizing", "p": axis})])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "axis 'p'" in err and "Traceback" not in err
+
+    def test_non_finite_axis_exits_1(self, tmp_path, capsys):
+        spec = {"family": "rank2", "alpha": {"min": 0, "max": math.inf, "steps": 3},
+                "beta": {"min": 0, "max": 1, "steps": 3}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["sweep", write_spec(tmp_path, spec)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "axis 'alpha' max" in err and "finite" in err
 
     def test_document_must_be_an_object(self, tmp_path, capsys):
         code, _, err = run(capsys, ["sweep", write_spec(tmp_path, [1, 2])])

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_channel, random_density, random_hermitian
 from qdeg.channels import (
+    amplitude_damping,
     choi_from_kraus,
     completely_depolarizing,
     depolarizing,
@@ -17,6 +18,9 @@ from qdeg.symext import (
     OracleStatus,
     dykstra_feasibility,
     oracle_extendible,
+    _swap,
+    _tensor_eye,
+    _trace_last,
     project_marginal,
     project_psd,
     symmetrize_swap,
@@ -31,6 +35,106 @@ def verify_witness(y, target, tol=1e-7):
     sy = SWAP_YYP @ y @ SWAP_YYP
     assert np.linalg.norm(partial_trace(sy, 4, 2, 1) - target) <= tol
     assert np.linalg.norm(y - sy) <= tol
+
+
+def _hermitian_basis(n):
+    """Orthonormal basis of the n x n Hermitian matrices under Re tr(A^dag B)."""
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            e = np.zeros((n, n), dtype=complex)
+            if j == k:
+                e[j, j] = 1.0
+                basis.append(e)
+                continue
+            e[j, k] = e[k, j] = 1 / np.sqrt(2)
+            basis.append(e)
+            f = np.zeros((n, n), dtype=complex)
+            f[j, k], f[k, j] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            basis.append(f)
+    return basis
+
+
+H8, H4 = _hermitian_basis(8), _hermitian_basis(4)
+
+
+def _coords(m, basis):
+    return np.array([np.vdot(b, m).real for b in basis])
+
+
+def _constraints(x):
+    """Real coordinates of (swap(x) - x, tr_Y'(x)): A is {constraints = (0, target)}."""
+    sx = SWAP_YYP @ x @ SWAP_YYP
+    marg = np.einsum("aibi->ab", x.reshape(4, 2, 4, 2))
+    return np.concatenate([_coords(sx - x, H8), _coords(marg, H4)])
+
+
+# the linear map X -> _constraints(X) in the Hermitian basis, and its null space L
+CONSTRAINT_MATRIX = np.array([_constraints(b) for b in H8]).T
+_, _sv, _vt = np.linalg.svd(CONSTRAINT_MATRIX)
+L_BASIS = _vt[int(np.sum(_sv > 1e-10)):].T
+
+
+def verify_certificate(w, target):
+    """Independent check that w proves the affine set A holds no PSD point.
+
+    w must be Hermitian, PSD, orthogonal to L (the linear part of A), and
+    negative on A, checked at two distinct points of A. A rounding-level
+    negative eigenvalue -e of w is absorbed as w + e I, which adds e to
+    <w, X> on A (every X in A has trace one).
+    """
+    assert w.shape == (8, 8)
+    scale = np.linalg.norm(w)
+    assert np.linalg.norm(w - w.conj().T) <= 1e-12 * scale
+    shift = max(0.0, -np.linalg.eigvalsh(w)[0])
+    assert shift <= 1e-12 * scale
+    assert np.linalg.norm(L_BASIS.T @ _coords(w, H8)) <= 1e-12 * scale
+    rhs = np.concatenate([np.zeros(len(H8)), _coords(target, H4)])
+    x0 = sum(c * b for c, b in zip(np.linalg.lstsq(CONSTRAINT_MATRIX, rhs, rcond=None)[0], H8))
+    step = L_BASIS @ np.random.default_rng(0).normal(size=L_BASIS.shape[1])
+    x1 = x0 + sum(c * b for c, b in zip(step, H8))
+    for x in (x0, x1):
+        assert np.linalg.norm(_constraints(x) - rhs) <= 1e-12
+        assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(w, x).real + shift < 0
+    assert np.linalg.norm(x1 - x0) > 0.5
+
+
+class TestKernels:
+    """The reshape/broadcast kernels against their explicit kron forms."""
+
+    def _random(self, rng, n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def test_swap(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            m = self._random(rng, 8)
+            assert np.max(np.abs(_swap(m) - SWAP_YYP @ m @ SWAP_YYP)) <= 1e-15
+            assert np.max(np.abs(symmetrize_swap(m) - (m + SWAP_YYP @ m @ SWAP_YYP) / 2)) <= 1e-15
+
+    def test_tensor_identity(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4):
+            for _ in range(20):
+                a = self._random(rng, n)
+                assert np.max(np.abs(_tensor_eye(a) - np.kron(a, I2))) <= 1e-15
+
+    def test_partial_trace(self):
+        rng = np.random.default_rng(12)
+        for n in (4, 8):
+            eye = np.eye(n // 2)
+            for _ in range(20):
+                m = self._random(rng, n)
+                kron_form = sum(np.kron(eye, e[None, :]) @ m @ np.kron(eye, e[:, None]) for e in I2)
+                assert np.max(np.abs(_trace_last(m) - kron_form)) <= 1e-15
+
+    def test_project_marginal(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m, t = self._random(rng, 8), self._random(rng, 4)
+            expected = m + np.kron(t - partial_trace(m, 4, 2, 1), I2 / 2)
+            assert np.max(np.abs(project_marginal(m, t) - expected)) <= 1e-15
 
 
 class TestProjectPsd:
@@ -185,3 +289,44 @@ class TestDykstra:
             disp = np.array(r.displacements)
             assert np.all(np.diff(disp[500:]) <= 1e-12)
             checked += 1
+
+
+class TestCertificate:
+    def test_identity_certified_at_first_cycle(self):
+        c = choi_from_kraus(identity())
+        r = oracle_extendible(c)
+        assert r.status is OracleStatus.INFEASIBLE and r.iterations == 1
+        verify_certificate(r.certificate, c.matrix / 2)
+
+    def test_rank2_target(self):
+        c = choi_from_kraus(amplitude_damping(0.3))
+        assert antidegradable_test(c).margin < -1e-3
+        r = oracle_extendible(c)
+        assert r.status is OracleStatus.INFEASIBLE
+        verify_certificate(r.certificate, c.matrix / 2)
+
+    def test_agreement_sample_certificates(self):
+        # the channels of TestDykstra.test_agreement_sample
+        rng = np.random.default_rng(8)
+        done = infeasible = 0
+        while done < 40:
+            c = choi_from_kraus(random_channel(rng))
+            if abs(antidegradable_test(c).margin) <= 1e-3:
+                continue
+            r = oracle_extendible(c, max_iter=200_000)
+            if r.status is OracleStatus.INFEASIBLE:
+                assert r.certificate is not None
+                verify_certificate(r.certificate, c.matrix / 2)
+                infeasible += 1
+            else:
+                assert r.certificate is None
+            done += 1
+        assert infeasible > 0
+
+    def test_depolarizing_grid_infeasible_results_carry_certificates(self):
+        for p in np.linspace(0.0, 1.0, 51):
+            c = choi_from_kraus(depolarizing(float(p)))
+            r = oracle_extendible(c)
+            assert (r.status is OracleStatus.INFEASIBLE) == (r.certificate is not None)
+            if r.certificate is not None:
+                verify_certificate(r.certificate, c.matrix / 2)
