@@ -11,9 +11,8 @@ Conventions used consistently across the package:
   assumes this one.
 - A complementary channel is only defined up to an isometry on the
   environment. The construction below fixes the environment basis by
-  Kraus order, so complements should be compared through Choi spectra,
-  except where a matrix-exact comparison is deliberately wanted (the
-  self-complementarity test).
+  Kraus order, so complements are compared only through quantities that
+  every environment basis agrees on.
 """
 
 from __future__ import annotations
@@ -38,6 +37,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 #: (I, X, Y, Z) as one (4, 2, 2) array.
 PAULI_BASIS = np.array((I2,) + PAULIS)
+
+#: Pauli-basis conversions in one constant: the channel with transfer matrix
+#: R = (1, 0; t, T), R[q, p] = tr(P_q Phi(P_p)) / 2, has the Choi matrix
+#: C = 1/2 sum_{p,q} R[q, p] P_p^T (x) P_q; row 4q + p holds P_p^T (x) P_q,
+#: and the rows are orthogonal with squared norm 4.
+PAULI_CHOI = np.einsum("pij,qkl->qpjkil", PAULI_BASIS, PAULI_BASIS).reshape(16, 16)
 
 #: Change of basis whose rows are the Bell vectors; diagonalizes unital Chois.
 BELL_F = np.array(
@@ -268,22 +273,22 @@ def kraus_from_choi(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
     return KrausSet(tuple(k @ inv_root for k in ops))
 
 
+def transfer_to_choi(r: np.ndarray) -> np.ndarray:
+    """Choi matrices of an ``(..., 4, 4)`` stack of transfer matrices, unchecked."""
+    return 0.5 * (r.reshape(r.shape[:-2] + (16,)) @ PAULI_CHOI).reshape(r.shape)
+
+
+def choi_to_transfer(c: np.ndarray) -> np.ndarray:
+    """Transfer matrices of an ``(..., 4, 4)`` stack of Hermitian Choi matrices."""
+    return 0.5 * (c.conj().reshape(c.shape[:-2] + (16,)) @ PAULI_CHOI.T).real.reshape(c.shape)
+
+
 def choi_from_transfer(t, T) -> ChoiMatrix:
     """Choi matrix of the channel with Pauli transfer block (1, 0; t, T)."""
-    t = np.asarray(t, dtype=float).reshape(3)
-    T = np.asarray(T, dtype=float)
-    c = np.zeros((4, 4), dtype=np.complex128)
-    phi_i = I2 + sum(t[i] * PAULIS[i] for i in range(3))
-    for j in range(2):
-        for l in range(2):
-            e_jl = np.zeros((2, 2), dtype=np.complex128)
-            e_jl[j, l] = 1.0
-            # Phi(X) from tr(X) and the Pauli components of the traceless part
-            w = np.array([np.trace(p @ e_jl) for p in PAULIS]) / 2.0
-            img = np.trace(e_jl) / 2.0 * phi_i
-            img = img + sum((T @ w)[i] * PAULIS[i] for i in range(3))
-            c[2 * j : 2 * j + 2, 2 * l : 2 * l + 2] = img
-    return ChoiMatrix(c)
+    r = np.eye(4)
+    r[1:, 0] = np.reshape(t, 3)
+    r[1:, 1:] = np.reshape(T, (3, 3))
+    return ChoiMatrix(transfer_to_choi(r))
 
 
 def choi_from_bloch(b: BlochParams) -> ChoiMatrix:
@@ -295,19 +300,13 @@ def bloch_to_choi(t, lam) -> np.ndarray:
     """Choi matrices of the diagonal Pauli-basis channels (t, lam), for
     ``(..., 3)`` arrays t and lam; returns the ``(..., 4, 4)`` stack, unchecked.
     """
-    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
-    l1, l2, l3 = np.moveaxis(np.asarray(lam, dtype=float), -1, 0)
-    c = np.zeros(np.broadcast_shapes(np.shape(t1), np.shape(l1)) + (4, 4), dtype=np.complex128)
-    c[..., 0, 0] = 1 + t3 + l3
-    c[..., 1, 1] = 1 - t3 - l3
-    c[..., 2, 2] = 1 + t3 - l3
-    c[..., 3, 3] = 1 - t3 + l3
-    c[..., 0, 1] = c[..., 2, 3] = t1 - 1j * t2
-    c[..., 1, 0] = c[..., 3, 2] = t1 + 1j * t2
-    c[..., 0, 3] = c[..., 3, 0] = l1 + l2
-    c[..., 1, 2] = c[..., 2, 1] = l1 - l2
-    c *= 0.5
-    return c
+    t = np.asarray(t, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    r = np.zeros(np.broadcast_shapes(t.shape, lam.shape)[:-1] + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 1:, 0] = t
+    r[..., (1, 2, 3), (1, 2, 3)] = lam
+    return transfer_to_choi(r)
 
 
 def to_choi(channel) -> ChoiMatrix:
@@ -325,13 +324,8 @@ def to_choi(channel) -> ChoiMatrix:
 
 def transfer_from_choi(c: ChoiMatrix) -> PauliTransfer:
     """Recover the full Pauli transfer block from a Choi matrix."""
-    t = np.empty(3)
-    T = np.empty((3, 3))
-    for i, sig_i in enumerate(PAULIS):
-        t[i] = 0.5 * np.trace(sig_i @ apply_choi(c, I2)).real
-        for j, sig_j in enumerate(PAULIS):
-            T[i, j] = 0.5 * np.trace(sig_i @ apply_choi(c, sig_j)).real
-    return PauliTransfer(t=t, T=T)
+    r = choi_to_transfer(c.matrix)
+    return PauliTransfer(t=r[1:, 0], T=r[1:, 1:])
 
 
 def bloch_from_choi(c: ChoiMatrix, tol: float = 1e-10):

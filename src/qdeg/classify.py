@@ -32,14 +32,12 @@ from . import linalg
 from .channels import (
     BlochParams,
     ChoiMatrix,
-    KrausSet,
     Rank2Params,
     bell_mu,
     choi_from_bloch,
     choi_from_kraus,
-    complement,
+    choi_to_transfer,
     depolarizing,
-    kraus_from_choi,
     phi_of_identity,
     to_choi,
     I2,
@@ -128,6 +126,14 @@ class Margins(NamedTuple):
     min_eig: np.ndarray  # minimum Choi eigenvalue
 
 
+def _rank_and_cp(c: np.ndarray, eigs: np.ndarray, tol: float):
+    """Choi rank (eigenvalues above ``tol * tr(C)``) and the CP mask (minimum
+    eigenvalue ``>= -tol * max(1, ||C||_F)``) from the ascending spectrum."""
+    cp = eigs[..., 0] >= -tol * np.maximum(np.linalg.norm(c, axis=(-2, -1)), 1.0)
+    trace = np.trace(c, axis1=-2, axis2=-1).real
+    return np.sum(eigs > tol * trace[..., None], axis=-1), cp
+
+
 def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> Margins:
     """Every Choi-spectrum margin of a validated Choi matrix or ``(..., 4, 4)`` stack.
 
@@ -136,10 +142,7 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
     Rows outside the CP set get margins too; ``cp`` says which rows those are.
     """
     eigs = linalg._eigvalsh(c) if eigenvalues is None else eigenvalues
-    min_eig = eigs[..., 0]
-    cp = min_eig >= -tol * np.maximum(np.linalg.norm(c, axis=(-2, -1)), 1.0)
-    trace = np.trace(c, axis1=-2, axis2=-1).real
-    rank = np.sum(eigs > tol * trace[..., None], axis=-1)
+    rank, cp = _rank_and_cp(c, eigs, tol)
     phi_i = linalg._partial_trace(c, 2, 2, traced=0)
     tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
     anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(linalg.clamped_det(eigs, tol))
@@ -149,7 +152,7 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
     deg = np.where(rank == 2, deg_rank2, np.where(rank == 1, 1.0, 2.0 - rank))
     pt = linalg._partial_transpose(c, 2, 2, transposed=1)
     eb = linalg._eigvalsh(pt)[..., 0]
-    return Margins(anti, deg, eb, rank, cp, min_eig)
+    return Margins(anti, deg, eb, rank, cp, eigs[..., 0])
 
 
 def cp_margins(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Margins:
@@ -277,20 +280,29 @@ def entanglement_breaking_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdi
     return Verdict.from_margin(verdict_kernel(c.matrix, tol, c.eigen.eigenvalues).eb, tol)
 
 
-def self_complementary_test(k: KrausSet, tol: float = DEFAULT_TOL) -> bool:
-    """Matrix-exact self-complementarity in the fixed environment basis.
+def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``Phi^c = U Phi U^dag`` for a unitary U: the notion every
+    representation agrees on, as the complement is fixed only up to an
+    environment unitary. Decided at Choi rank 2; :class:`NotApplicable` otherwise.
 
-    Only defined when the complement's output dimension is 2 (two Kraus
-    operators); otherwise raises :class:`NotApplicable`. Looser notions
-    (equality up to an environment isometry) are deliberately not decided.
+    ``C^c = tr_output |psi><psi|`` with ``psi = sum_e sqrt(lambda_e) v_e (x) e``
+    over the nonzero Choi eigenpairs. An output unitary rotates the Bloch
+    rows ``[t | T]`` by some O in SO(3), so the test is the Kabsch problem
+    ``min_O ||O [t | T] - [t^c | T^c]||_F <= tol``.
     """
-    if k.env_dim != 2:
-        raise NotApplicable(
-            f"self-complementarity needs environment dimension 2, got {k.env_dim}"
-        )
-    c = choi_from_kraus(k)
-    cc = choi_from_kraus(complement(k))
-    return linalg.frobenius(c.matrix - cc.matrix) <= tol
+    c = to_choi(channel)
+    lam, v = c.eigen.eigenvalues, c.eigen.eigenvectors
+    rank, cp = _rank_and_cp(c.matrix, lam, tol)
+    if not cp:
+        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {lam[0]:.3e}; not a CP map")
+    if rank != 2:
+        raise NotApplicable(f"self-complementarity needs Choi rank 2, got {rank}")
+    psi = (np.sqrt(lam[2:]) * v[:, 2:]).reshape(2, 2, 2)  # input, output, environment
+    cc = np.einsum("ioe,jof->iejf", psi, psi.conj()).reshape(4, 4)
+    bloch, bloch_c = choi_to_transfer(np.stack((c.matrix, cc)))[:, 1:]
+    u, _, vt = np.linalg.svd(bloch_c @ bloch.T)
+    u[:, 2] *= np.sign(np.linalg.det(u @ vt))  # the closest proper rotation
+    return linalg.frobenius(u @ vt @ bloch - bloch_c) <= tol
 
 
 def deg_and_antideg_rank2(p: Rank2Params, tol: float = DEFAULT_TOL) -> bool:
@@ -339,12 +351,12 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Full classification of a channel given in any representation.
 
     Every margin, the rank and the CP gate come from one kernel call on the
-    Choi matrix's cached eigendecomposition, which the Kraus operators
-    share. Raises :class:`NotAChannel` (with the offending Choi eigenvalue
-    and trace-preservation residual) when the input is not CPTP within
-    ``tol``. Self-complementarity is decided in the environment basis of
-    the caller's Kraus operators when they form a minimal set, and of the
-    Choi eigenvectors above the rank cutoff otherwise.
+    Choi matrix's cached eigendecomposition. Raises :class:`NotAChannel`
+    (with the offending Choi eigenvalue and trace-preservation residual)
+    when the input is not CPTP within ``tol``. ``self_complementary`` is
+    decided at Choi rank 2 up to a unitary on the output (see
+    :func:`self_complementary_test`), so every representation of one
+    channel gets the same answer; it is ``None`` at every other rank.
     """
     c = to_choi(channel)
     m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
@@ -356,23 +368,13 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
             tp_residual=tp_residual,
         )
     rank = int(m.rank)
-    if isinstance(channel, KrausSet) and channel.env_dim == rank:
-        kraus = channel
-    else:
-        # the rank cutoff: one operator per counted eigenvalue, and no CP
-        # check stricter than the gate above
-        kraus = kraus_from_choi(c, tol * float(np.trace(c.matrix).real))
     unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
-    if kraus.env_dim == 2:
-        self_comp = self_complementary_test(kraus, tol)
-    else:
-        self_comp = None
     return ClassificationReport(
         antidegradable=Verdict.from_margin(m.anti, tol),
         degradable=Verdict.from_margin(m.deg, tol),
         entanglement_breaking=Verdict.from_margin(m.eb, tol),
         unital=bool(unital),
-        self_complementary=self_comp,
+        self_complementary=self_complementary_test(c, tol) if rank == 2 else None,
         choi_rank=rank,
         cp=True,
     )

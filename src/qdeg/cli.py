@@ -76,18 +76,19 @@ class SpecError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise SpecError(f"expected [re, im] pair, got {v!r}")
+def _parse_complex(v, name: str) -> complex:
+    if isinstance(v, list):
+        if len(v) != 2:
+            raise SpecError(f"{name} must be a number or an [re, im] pair, got {json.dumps(v)}")
+        return complex(_number(v[0], name), _number(v[1], name))
+    return complex(_number(v, name))
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SpecError("matrix must be a non-empty nested list")
-    return np.array([[_parse_complex(v) for v in row] for row in rows])
+def _parse_matrix(rows, name: str) -> np.ndarray:
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise SpecError(f"{name} must be a non-empty rectangular nested list")
+    return np.array([[_parse_complex(v, f"{name} entry") for v in row] for row in rows])
 
 
 def _complex_out(z: complex) -> list:
@@ -139,9 +140,9 @@ def parse_channel_spec(doc: dict):
         ops = doc.get("operators")
         if not isinstance(ops, list) or not ops:
             raise SpecError("kraus spec needs a non-empty 'operators' list")
-        return ch.KrausSet(tuple(_parse_matrix(op) for op in ops))
+        return ch.KrausSet(tuple(_parse_matrix(op, f"operator {i}") for i, op in enumerate(ops)))
     if kind == "choi":
-        return ch.ChoiMatrix(_parse_matrix(doc.get("matrix")))
+        return ch.ChoiMatrix(_parse_matrix(doc.get("matrix"), "matrix"))
     if kind == "bloch":
         t = _real_vector(doc.get("t"), "t")
         if "T" in doc:

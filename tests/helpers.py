@@ -40,6 +40,12 @@ def random_channel(rng, env_dim: int | None = None) -> KrausSet:
     return KrausSet(tuple(v[i::d, :] for i in range(d)))
 
 
+def remix(k: KrausSet, count: int, rng) -> KrausSet:
+    """Another Kraus set of the same channel: L_j = sum_i W_ji K_i with W^dag W = I."""
+    w = haar_isometry(rng, count, k.env_dim)
+    return KrausSet(tuple(sum(w[j, i] * op for i, op in enumerate(k.operators)) for j in range(count)))
+
+
 def random_dephasing(rng) -> KrausSet:
     """Random standard-basis dephasing channel: diagonal Kraus operators.
 
@@ -122,6 +128,16 @@ def random_tetra_lambda(rng) -> np.ndarray:
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
     w = rng.dirichlet(np.ones(4))
     return w @ verts
+
+
+def assert_same_report(rep, ref, margin_tol, fields=("unital", "self_complementary", "choi_rank", "cp")):
+    """Equal verdict states and ``fields``; margins within ``margin_tol``."""
+    for name in ("antidegradable", "degradable", "entanglement_breaking"):
+        got, want = getattr(rep, name), getattr(ref, name)
+        assert got.state is want.state, (name, got, want)
+        assert abs(got.margin - want.margin) <= margin_tol, (name, got, want)
+    for name in fields:
+        assert getattr(rep, name) == getattr(ref, name), name
 
 
 def assert_sweep_row_matches_classify(row: dict, channel, margin_tol: float = 1e-12) -> None:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_channel, random_density, random_dephasing, random_unitary
+from helpers import _bloch_matrix, random_channel, random_density, random_dephasing, random_unitary
 from qdeg.channels import (
+    PAULIS,
     BlochParams,
     ChoiMatrix,
     KrausSet,
@@ -12,6 +13,7 @@ from qdeg.channels import (
     apply_choi,
     bell_mu,
     bloch_from_choi,
+    bloch_to_choi,
     choi_from_bloch,
     choi_from_kraus,
     choi_from_transfer,
@@ -216,6 +218,24 @@ class TestBloch:
             tr = transfer_from_choi(c)
             c2 = choi_from_transfer(tr.t, tr.T)
             assert np.linalg.norm(c.matrix - c2.matrix) <= 1e-11
+
+    def test_pauli_map_matches_entrywise_forms(self):
+        # the one constant Pauli-Choi map against the written-out Bloch Choi
+        # matrix and against tr(P_i Phi(P_j)) / 2 through the Choi action
+        rng = np.random.default_rng(4)
+        t, lam = rng.uniform(-0.5, 0.5, (2, 50, 3))
+        stack = bloch_to_choi(t, lam)
+        for i in range(50):
+            assert np.abs(stack[i] - _bloch_matrix(t[i], lam[i])).max() <= 1e-14
+            c = choi_from_transfer(t[i], np.diag(lam[i]))
+            assert np.abs(c.matrix - _bloch_matrix(t[i], lam[i])).max() <= 1e-14
+        paulis = (I2, *PAULIS)
+        for _ in range(50):
+            c = choi_from_kraus(random_channel(rng))
+            r = [[0.5 * np.trace(p @ apply_choi(c, q)).real for q in paulis] for p in paulis]
+            tr = transfer_from_choi(c)
+            assert np.abs(tr.t - np.array(r)[1:, 0]).max() <= 1e-14
+            assert np.abs(tr.T - np.array(r)[1:, 1:]).max() <= 1e-14
 
     def test_nondiagonal_returns_transfer(self):
         u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

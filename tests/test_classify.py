@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import (
-    haar_isometry,
+    assert_same_report,
     measure_prepare_channel,
     random_channel,
     random_rank3_bloch,
     random_rank4_bloch,
     random_tetra_lambda,
     random_unitary,
+    remix,
 )
 from qdeg.channels import (
     BlochParams,
@@ -26,6 +27,7 @@ from qdeg.channels import (
     depolarizing,
     identity,
     rank2,
+    transfer_from_choi,
 )
 from qdeg.classify import (
     Verdict,
@@ -47,17 +49,6 @@ from qdeg.errors import NotAChannel, NotApplicable, NotCompletelyPositive, Wrong
 from qdeg.linalg import kron
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
-VERDICTS = ("antidegradable", "degradable", "entanglement_breaking")
-
-
-def assert_same_report(rep, ref, margin_tol, fields=("unital", "choi_rank", "cp")):
-    """Equal verdict states and ``fields``; margins within ``margin_tol``."""
-    for name in VERDICTS:
-        got, want = getattr(rep, name), getattr(ref, name)
-        assert got.state is want.state, (name, got, want)
-        assert abs(got.margin - want.margin) <= margin_tol, (name, got, want)
-    for name in fields:
-        assert getattr(rep, name) == getattr(ref, name), name
 
 
 class TestVerdict:
@@ -353,12 +344,7 @@ class TestClassify:
     def test_redundant_kraus_set(self):
         k1, k2 = rank2(0.3, 0.5).operators
         redundant = KrausSet((k1, k2 / math.sqrt(2), k2 / math.sqrt(2)))
-        assert_same_report(
-            classify(redundant),
-            classify(rank2(0.3, 0.5)),
-            1e-12,
-            fields=("unital", "self_complementary", "choi_rank", "cp"),
-        )
+        assert_same_report(classify(redundant), classify(rank2(0.3, 0.5)), 1e-12)
 
     def test_near_boundary_choi(self):
         rep = classify(choi_from_kraus(depolarizing(3e-10)))
@@ -419,23 +405,33 @@ class TestStructuralInvariants:
 
 class TestRepresentationInvariance:
     """Kraus (minimal and remixed), Choi and Bloch/transfer inputs of one
-    channel give one report; self-complementarity is basis-dependent and
-    left out."""
-
-    @staticmethod
-    def remix(k: KrausSet, count: int, rng) -> KrausSet:
-        # L_j = sum_i W_ji K_i with W^dag W = I is another Kraus set of the channel
-        w = haar_isometry(rng, count, k.env_dim)
-        return KrausSet(tuple(sum(w[j, i] * op for i, op in enumerate(k.operators)) for j in range(count)))
+    channel give one report."""
 
     def test_all_representations_agree(self):
         rng = np.random.default_rng(12)
         channels = [identity(), amplitude_damping(0.6), depolarizing(0.5)]
+        channels += [rank2(a, math.pi / 4) for a in (0.3, 1.1, 2.5)]
         channels += [random_channel(rng, env_dim=r) for r in (1, 2, 3, 4) for _ in range(4)]
         for k in channels:
             c = choi_from_kraus(k)
             ref = classify(k)
             reps = [c, bloch_from_choi(c)]
-            reps += [self.remix(k, n, rng) for n in (3, 4) if n >= k.env_dim]
+            reps += [remix(k, n, rng) for n in (3, 4) if n >= k.env_dim]
             for rep in reps:
                 assert_same_report(classify(rep), ref, 1e-10)
+
+    @pytest.mark.parametrize("alpha, beta, expected", [
+        (0.3, math.pi / 4, True),
+        (math.pi / 4, 0.3, True),
+        (0.3, 0.5, False),
+    ])
+    def test_self_complementarity_is_one_answer(self, alpha, beta, expected):
+        # the complement is fixed only up to an environment unitary, so a
+        # remixed Kraus set, the Choi matrix and the transfer block must all
+        # give the canonical Kraus set's answer
+        rng = np.random.default_rng(13)
+        k = rank2(alpha, beta)
+        c = choi_from_kraus(k)
+        for rep in (k, remix(k, 2, rng), remix(k, 3, rng), c, bloch_from_choi(c), transfer_from_choi(c)):
+            assert classify(rep).self_complementary is expected, rep
+            assert self_complementary_test(rep, 1e-10) is expected, rep

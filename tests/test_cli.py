@@ -111,6 +111,27 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["choi_rank"] == 1
 
+    @pytest.mark.parametrize("bad", [10**400, math.nan, math.inf], ids=["huge-integer", "nan", "infinity"])
+    @pytest.mark.parametrize("kind, field", [("kraus", "operator 0 entry"), ("choi", "matrix entry")])
+    def test_non_finite_matrix_entry_exits_1(self, tmp_path, capsys, bad, kind, field):
+        if kind == "kraus":
+            doc = {"kind": "kraus", "operators": [[[bad, 0], [0, 1]]]}
+        else:
+            doc = {"kind": "choi", "matrix": [[1, 0, 0, [bad, 0]], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err and "finite" in err
+
+    @pytest.mark.parametrize("matrix", [[1, 2], [[1, 0], [0]], [[]], [[1, 0], [[1, 2, 3], 0]]],
+                             ids=["flat", "ragged", "empty-row", "triple"])
+    def test_malformed_matrix_exits_1(self, tmp_path, capsys, matrix):
+        code, out, err = run(capsys, ["classify", write_spec(tmp_path, {"kind": "choi", "matrix": matrix})])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "matrix" in err
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "depolarizing", "p": 0.5})
         code, out, _ = run(capsys, ["classify", path, "--format", "csv"])

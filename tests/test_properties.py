@@ -1,6 +1,8 @@
-"""Property tests: every sweep row is the classify() verdict of its channel."""
+"""Property tests: every sweep row is the classify() verdict of its channel,
+and classify() gives one report for every form of one channel."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -10,8 +12,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import assert_sweep_row_matches_classify  # noqa: E402
-from qdeg.channels import BlochParams, bell_mu, depolarizing, rank2  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_same_report,
+    assert_sweep_row_matches_classify,
+    random_channel,
+    random_unitary,
+    remix,
+)
+from qdeg.channels import BlochParams, ChoiMatrix, bell_mu, choi_from_kraus, depolarizing, rank2  # noqa: E402
+from qdeg.classify import classify  # noqa: E402
 from qdeg.cli import main  # noqa: E402
 
 
@@ -81,3 +90,32 @@ def test_sweep_rows_match_classify(doc):
             assert_sweep_row_matches_classify(row, channel)
             row = next(rows, None)
     assert row is None
+
+
+seeds = st.integers(0, 2**32 - 1)
+# Haar-random channels of Choi rank 1-4, and rank-2 channels on the
+# self-complementary lines alpha or beta = pi/4 (mod pi/2)
+channels = st.one_of(
+    st.builds(lambda seed, rank: random_channel(np.random.default_rng(seed), rank), seeds, st.integers(1, 4)),
+    st.builds(
+        lambda a, q, swap: rank2(q, a) if swap else rank2(a, q),
+        st.floats(0.0, math.pi), st.sampled_from((math.pi / 4, 3 * math.pi / 4)), st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels, seeds)
+def test_classify_invariant_under_unitary_conjugation(k, seed):
+    # Phi -> U Phi(V . V^dag) U^dag conjugates the Choi matrix by kron(V^T, U)
+    rng = np.random.default_rng(seed)
+    w = np.kron(random_unitary(rng).T, random_unitary(rng))
+    c = choi_from_kraus(k).matrix
+    assert_same_report(classify(ChoiMatrix(w @ c @ w.conj().T)), classify(k), 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels, seeds, st.integers(2, 4))
+def test_classify_invariant_under_kraus_remix(k, seed, count):
+    remixed = remix(k, max(count, k.env_dim), np.random.default_rng(seed))
+    assert_same_report(classify(remixed), classify(k), 1e-10)
