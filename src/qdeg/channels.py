@@ -13,6 +13,9 @@ Conventions used consistently across the package:
   environment. The construction below fixes the environment basis by
   Kraus order, so complements are compared only through quantities that
   every environment basis agrees on.
+- "Is C completely positive, and what is its rank?" has one answer,
+  :func:`rank_and_cp` on the Choi spectrum; every entry point applies it
+  and raises the one error of :func:`not_a_channel` when C fails it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import (
-    InvalidDimension,
-    InvalidParameter,
-    NotCompletelyPositive,
-    NotTracePreserving,
-)
+from .errors import InvalidDimension, InvalidParameter, NotAChannel, NotTracePreserving
 
 I2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -53,9 +51,9 @@ BELL_F = np.array(
 #: Absolute tolerance on trace-preservation residuals.
 TP_TOL = 1e-10
 
-#: Default relative eigenvalue cutoff (times trace) when extracting Kraus
-#: operators or counting Choi rank.
-RANK_CUTOFF = 1e-10
+#: Default tolerance of the CP gate and rank rule (:func:`rank_and_cp`) and
+#: of every verdict margin (the Boundary half-width).
+DEFAULT_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -242,30 +240,23 @@ def kraus_to_choi(ops: np.ndarray) -> np.ndarray:
     return np.einsum("...ri,...rj->...ij", v, v.conj())
 
 
-def kraus_from_choi(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
-    """Kraus operators from the eigenpairs of the Choi matrix.
+def kraus_from_choi(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
+    """Minimal Kraus set: one operator per eigenpair counted by
+    ``choi_rank(c, tol)``, the rank ``classify`` reports, in ascending order.
 
-    One operator per eigenvalue above ``tol`` (default
-    ``RANK_CUTOFF * tr(c)``), in ascending eigenvalue order. The operators
-    are renormalized, ``K_i <- K_i G^{-1/2}`` with ``G = sum_i K_i^dag K_i``,
-    so trace preservation holds to rounding even when the dropped
-    directions carried weight. Raises
-    :class:`NotCompletelyPositive` when the Choi matrix is not PSD.
+    The operators are renormalized, ``K_i <- K_i G^{-1/2}`` with
+    ``G = sum_i K_i^dag K_i``, so trace preservation holds to rounding even
+    when the dropped directions carried weight. Raises
+    :class:`NotAChannel` when ``c`` fails the CP gate.
     """
-    if tol is None:
-        tol = RANK_CUTOFF * float(np.trace(c.matrix).real)
+    rank = choi_rank(c, tol)
+    if not rank:
+        raise InvalidParameter(f"tol {tol} leaves no Choi eigenvalue above tol * tr(C)")
     eig = c.eigen
-    if eig.eigenvalues[0] < -tol:
-        raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {eig.eigenvalues[0]:.3e}"
-        )
     ops = [
         linalg.unvec(np.sqrt(lam) * v, 2, 2)
-        for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T)
-        if lam > tol
+        for lam, v in zip(eig.eigenvalues[4 - rank:], eig.eigenvectors.T[4 - rank:])
     ]
-    if not ops:
-        raise NotCompletelyPositive("Choi matrix is numerically zero")
     # closed-form 2x2 square root: sqrt(G) = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G))
     gram = sum(linalg.dagger(k) @ k for k in ops)
     s = np.sqrt(np.linalg.det(gram).real)
@@ -372,14 +363,42 @@ def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
     return linalg._partial_trace(c.matrix, 2, 2, traced=0)
 
 
-def choi_rank(c: ChoiMatrix, tol: float = 1e-9) -> int:
-    """Number of Choi eigenvalues above ``tol * tr(c)``.
+def rank_and_cp(eigenvalues, tol: float = DEFAULT_TOL):
+    """The Choi rank and the CP gate of ascending Choi spectra (last axis).
 
-    Read from the verdict kernel, behind its CP gate.
+    The rank counts the eigenvalues above ``tol * tr(C)``; C passes the CP
+    gate when its minimum eigenvalue is at least ``-tol * max(1, ||C||_F)``.
+    ``tr(C)`` and ``||C||_F`` are the sum and the 2-norm of the spectrum.
+    Returns ``(rank, cp)``, 0-d arrays for one spectrum.
     """
-    from .classify import cp_margins  # the kernel lives with the verdicts
+    eigs = np.asarray(eigenvalues)
+    cp = eigs[..., 0] >= -tol * np.maximum(np.linalg.norm(eigs, axis=-1), 1.0)
+    return np.sum(eigs > tol * np.sum(eigs, axis=-1)[..., None], axis=-1), cp
 
-    return int(cp_margins(c, tol).rank)
+
+def not_a_channel(min_eig: float, choi: np.ndarray | None = None) -> NotAChannel:
+    """The error for a map that fails the CP gate, naming its minimum Choi
+    eigenvalue and the trace-preservation residual of ``choi`` (0 when the
+    map is given without one, as a unital channel by its Bell weights is).
+    """
+    tp = 0.0 if choi is None else linalg.frobenius(linalg._partial_trace(choi, 2, 2, traced=1) - I2)
+    return NotAChannel(
+        f"Choi matrix has eigenvalue {min_eig:.3e}; channel is not CP "
+        f"(min Choi eigenvalue {float(min_eig)}, TP residual {tp})",
+        min_choi_eig=float(min_eig),
+        tp_residual=tp,
+    )
+
+
+def choi_rank(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> int:
+    """Choi rank of ``c`` by :func:`rank_and_cp` on its cached spectrum.
+
+    Raises :class:`NotAChannel` when ``c`` fails the CP gate.
+    """
+    rank, cp = rank_and_cp(c.eigen.eigenvalues, tol)
+    if not cp:
+        raise not_a_channel(c.eigen.eigenvalues[0], c.matrix)
+    return int(rank)
 
 
 def complement(k: KrausSet) -> KrausSet:
@@ -485,14 +504,18 @@ def amplitude_damping(alpha: float) -> KrausSet:
     return rank2(alpha, 0.0)
 
 
+def unital_spectrum(lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending Choi eigenvalues ``sort(bell_mu(lam)) / 2`` of the unital
+    channel with contractions lam, behind the CP gate (:func:`rank_and_cp`).
+    """
+    nu = np.sort(bell_mu(lam)) / 2.0
+    if not rank_and_cp(nu, tol)[1]:
+        raise not_a_channel(nu[0])
+    return nu
+
+
 def unital(lam) -> BlochParams:
-    """Unital channel (t = 0) with contractions lam inside the tetrahedron."""
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if lam.size != 3 or not np.all(np.isfinite(lam)):
-        raise InvalidParameter("lam must be a finite real 3-vector")
-    mu = bell_mu(lam)
-    if mu.min() < -1e-10:
-        raise NotCompletelyPositive(
-            f"lam outside the CP tetrahedron (min Bell weight {mu.min():.3e})"
-        )
-    return BlochParams(t=np.zeros(3), lam=lam)
+    """Unital channel (t = 0) with contractions lam inside the CP tetrahedron."""
+    b = BlochParams(t=np.zeros(3), lam=lam)
+    unital_spectrum(b.lam)
+    return b

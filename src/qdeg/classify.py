@@ -13,6 +13,8 @@ Every Choi-spectrum margin comes from one kernel, :func:`verdict_kernel`,
 over a Choi matrix or an ``(..., 4, 4)`` stack of them; the scalar tests
 and :func:`classify` are its N=1 case, fed the cached spectrum of their
 :class:`ChoiMatrix`, and ``qdeg sweep`` calls it once for a whole grid.
+Its rank and CP gate are :func:`~qdeg.channels.rank_and_cp`, the rule of
+every entry point.
 
 Rank-specialized closed forms are provided as independent evaluation
 routes through the channel parameters. They must agree in verdict state
@@ -30,28 +32,23 @@ import numpy as np
 
 from . import linalg
 from .channels import (
+    DEFAULT_TOL,
     BlochParams,
     ChoiMatrix,
     Rank2Params,
-    bell_mu,
     choi_from_bloch,
     choi_from_kraus,
+    choi_rank,
     choi_to_transfer,
     depolarizing,
+    not_a_channel,
     phi_of_identity,
+    rank_and_cp,
     to_choi,
+    unital_spectrum,
     I2,
 )
-from .errors import (
-    NotAChannel,
-    NotApplicable,
-    NotCompletelyPositive,
-    NumericalFailure,
-    WrongRank,
-)
-
-#: Default absolute tolerance on verdict margins (Boundary half-width).
-DEFAULT_TOL = 1e-9
+from .errors import NotApplicable, NumericalFailure, WrongRank
 
 
 class VerdictState(str, enum.Enum):
@@ -121,17 +118,9 @@ class Margins(NamedTuple):
     anti: np.ndarray  # antidegradability margin
     deg: np.ndarray  # degradability margin
     eb: np.ndarray  # PPT margin: minimum eigenvalue of the partial transpose
-    rank: np.ndarray  # Choi rank: eigenvalues above tol * tr(C)
-    cp: np.ndarray  # minimum eigenvalue >= -tol * max(1, ||C||_F)
+    rank: np.ndarray  # Choi rank, by rank_and_cp
+    cp: np.ndarray  # the CP gate, by rank_and_cp
     min_eig: np.ndarray  # minimum Choi eigenvalue
-
-
-def _rank_and_cp(c: np.ndarray, eigs: np.ndarray, tol: float):
-    """Choi rank (eigenvalues above ``tol * tr(C)``) and the CP mask (minimum
-    eigenvalue ``>= -tol * max(1, ||C||_F)``) from the ascending spectrum."""
-    cp = eigs[..., 0] >= -tol * np.maximum(np.linalg.norm(c, axis=(-2, -1)), 1.0)
-    trace = np.trace(c, axis1=-2, axis2=-1).real
-    return np.sum(eigs > tol * trace[..., None], axis=-1), cp
 
 
 def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> Margins:
@@ -142,7 +131,7 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
     Rows outside the CP set get margins too; ``cp`` says which rows those are.
     """
     eigs = linalg._eigvalsh(c) if eigenvalues is None else eigenvalues
-    rank, cp = _rank_and_cp(c, eigs, tol)
+    rank, cp = rank_and_cp(eigs, tol)
     phi_i = linalg._partial_trace(c, 2, 2, traced=0)
     tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
     anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(linalg.clamped_det(eigs, tol))
@@ -158,13 +147,11 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
 def cp_margins(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Margins:
     """The kernel on one Choi matrix and its cached spectrum, behind the CP gate.
 
-    Raises :class:`NotCompletelyPositive` with the offending eigenvalue.
+    Raises :class:`~qdeg.errors.NotAChannel` with the offending eigenvalue.
     """
     m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
     if not m.cp:
-        raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {m.min_eig:.3e}; not a CP map"
-        )
+        raise not_a_channel(m.min_eig, c.matrix)
     return m
 
 
@@ -221,7 +208,7 @@ def rank3_antidegradable(b: BlochParams, tol: float = DEFAULT_TOL) -> Verdict:
     like lam = (1, 0, 0) drops to rank 2 and still satisfies the formula);
     full-rank input is rejected.
     """
-    rank = int(cp_margins(choi_from_bloch(b), tol).rank)
+    rank = choi_rank(choi_from_bloch(b), tol)
     if rank > 3:
         raise WrongRank(f"expected a singular Choi matrix, got rank {rank}")
     margin = 1.0 + float(b.t @ b.t) - float(b.lam @ b.lam)
@@ -259,15 +246,10 @@ def rank4_antidegradable(b: BlochParams, tol: float = DEFAULT_TOL) -> Verdict:
 def unital_antidegradable(lam, tol: float = DEFAULT_TOL) -> Verdict:
     """Antidegradability of a unital channel from its Bell weights.
 
-    With nu = mu/2 the Bell-basis Choi eigenvalues,
+    With nu = mu/2 the Bell-basis Choi eigenvalues, behind the CP gate,
     margin = 2 - [sum(nu^2) - 4 sqrt(prod(nu))].
     """
-    mu = bell_mu(lam)
-    if mu.min() < -1e-10:
-        raise NotCompletelyPositive(
-            f"lam outside the CP tetrahedron (min Bell weight {mu.min():.3e})"
-        )
-    nu = mu / 2.0
+    nu = unital_spectrum(lam, tol)
     margin = 2.0 - float(np.sum(nu * nu)) + 4.0 * math.sqrt(linalg.clamped_det(nu, tol))
     return Verdict.from_margin(margin, tol)
 
@@ -277,7 +259,7 @@ def entanglement_breaking_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdi
 
     margin = minimum eigenvalue of the partial transpose of C.
     """
-    return Verdict.from_margin(verdict_kernel(c.matrix, tol, c.eigen.eigenvalues).eb, tol)
+    return Verdict.from_margin(cp_margins(c, tol).eb, tol)
 
 
 def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
@@ -291,10 +273,8 @@ def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
     ``min_O ||O [t | T] - [t^c | T^c]||_F <= tol``.
     """
     c = to_choi(channel)
+    rank = choi_rank(c, tol)
     lam, v = c.eigen.eigenvalues, c.eigen.eigenvectors
-    rank, cp = _rank_and_cp(c.matrix, lam, tol)
-    if not cp:
-        raise NotCompletelyPositive(f"Choi matrix has eigenvalue {lam[0]:.3e}; not a CP map")
     if rank != 2:
         raise NotApplicable(f"self-complementarity needs Choi rank 2, got {rank}")
     psi = (np.sqrt(lam[2:]) * v[:, 2:]).reshape(2, 2, 2)  # input, output, environment
@@ -353,20 +333,13 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     Every margin, the rank and the CP gate come from one kernel call on the
     Choi matrix's cached eigendecomposition. Raises :class:`NotAChannel`
     (with the offending Choi eigenvalue and trace-preservation residual)
-    when the input is not CPTP within ``tol``. ``self_complementary`` is
+    when the input fails the CP gate. ``self_complementary`` is
     decided at Choi rank 2 up to a unitary on the output (see
     :func:`self_complementary_test`), so every representation of one
     channel gets the same answer; it is ``None`` at every other rank.
     """
     c = to_choi(channel)
-    m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
-    if not m.cp:
-        tp_residual = linalg.frobenius(linalg._partial_trace(c.matrix, 2, 2, traced=1) - I2)
-        raise NotAChannel(
-            f"Choi matrix has eigenvalue {m.min_eig:.3e}; channel is not CP",
-            min_choi_eig=float(m.min_eig),
-            tp_residual=tp_residual,
-        )
+    m = cp_margins(c, tol)
     rank = int(m.rank)
     unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
     return ClassificationReport(

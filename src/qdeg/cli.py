@@ -23,8 +23,9 @@ grid point is CP.
 certificate under ``"certificate"`` when infeasible; an inconclusive run
 writes no file.
 
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 input parsed
-but is not a valid channel, 3 numerical failure.
+Exit codes: 0 success, 1 unreadable or unparseable input or a bad command
+line, 2 input parsed but is not a valid channel (every command applies the
+one CP gate, ``qdeg.channels.rank_and_cp``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -39,36 +40,16 @@ import numpy as np
 from . import channels as ch
 from . import symext as se
 from .classify import antidegradable_test, classify, verdict_kernel, verdict_state
-from .errors import (
-    InvalidDimension,
-    InvalidParameter,
-    NotAChannel,
-    NotCompletelyPositive,
-    NotHermitian,
-    NotPSD,
-    NotTracePreserving,
-    NumericalFailure,
-    QdegError,
-)
+from .errors import NotCompletelyPositive, NumericalFailure, QdegError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_A_CHANNEL = 2
 EXIT_NUMERICAL = 3
 
-_NOT_A_CHANNEL_ERRORS = (
-    NotAChannel,
-    NotCompletelyPositive,
-    NotTracePreserving,
-    NotHermitian,
-    NotPSD,
-    InvalidParameter,
-    InvalidDimension,
-)
-
 
 class SpecError(Exception):
-    """Structurally invalid input document."""
+    """Structurally invalid input document or command line."""
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +168,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _to_kraus(channel) -> ch.KrausSet:
-    if isinstance(channel, ch.KrausSet):
-        return channel
-    return ch.kraus_from_choi(ch.to_choi(channel))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -229,13 +204,15 @@ def cmd_classify(args) -> int:
 
 def cmd_convert(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
+    c = ch.to_choi(channel)
+    ch.choi_rank(c, args.tol)  # the CP gate, whatever the target
     if args.to == "choi":
-        doc = {"kind": "choi", "matrix": _matrix_out(ch.to_choi(channel).matrix)}
+        doc = {"kind": "choi", "matrix": _matrix_out(c.matrix)}
     elif args.to == "kraus":
-        kraus = _to_kraus(channel)
+        kraus = ch.kraus_from_choi(c, args.tol)
         doc = {"kind": "kraus", "operators": [_matrix_out(op) for op in kraus.operators]}
     elif args.to == "bloch":
-        r = ch.bloch_from_choi(ch.to_choi(channel))
+        r = ch.bloch_from_choi(c)
         if isinstance(r, ch.BlochParams):
             doc = {"kind": "bloch", "t": list(r.t), "lambda": list(r.lam)}
         else:
@@ -248,7 +225,9 @@ def cmd_convert(args) -> int:
 
 def cmd_complement(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
-    comp = ch.complement(_to_kraus(channel))
+    if not isinstance(channel, ch.KrausSet):
+        channel = ch.kraus_from_choi(ch.to_choi(channel), args.tol)
+    comp = ch.complement(channel)
     doc = {
         "kind": "kraus",
         "output_dim": comp.out_dim,
@@ -384,15 +363,36 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line with exit code 1."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
+def _positive(kind):
+    """Option type: a finite ``kind`` (float or int) above 0."""
+
+    def parse(text: str):
+        try:
+            x = kind(text)
+            ok = math.isfinite(x) and x > 0
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} > 0, got {text!r}")
+        return x
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdeg", description="Qubit channel degradability toolkit"
-    )
+    parser = _Parser(prog="qdeg", description="Qubit channel degradability toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("input", help="path to a JSON channel spec, or - for stdin")
-        p.add_argument("--tol", type=float, default=1e-9, help="margin tolerance")
+        p.add_argument("--tol", type=_positive(float), default=ch.DEFAULT_TOL, help="margin tolerance")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("classify", help="classify a channel")
@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="symmetric-extension feasibility oracle")
     common(p)
-    p.add_argument("--oracle-tol", type=float, default=se.ORACLE_TOL)
-    p.add_argument("--max-iter", type=int, default=se.ORACLE_MAX_ITER)
+    p.add_argument("--oracle-tol", type=_positive(float), default=se.ORACLE_TOL)
+    p.add_argument("--max-iter", type=_positive(int), default=se.ORACLE_MAX_ITER)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -424,28 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotAChannel as exc:
-        print(
-            f"error: not a channel: {exc} "
-            f"(min Choi eigenvalue {exc.min_choi_eig}, TP residual {exc.tp_residual})",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_A_CHANNEL
-    except _NOT_A_CHANNEL_ERRORS as exc:
-        print(f"error: not a channel: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_CHANNEL
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except QdegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: not a channel: {exc}", file=sys.stderr)
         return EXIT_NOT_A_CHANNEL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,11 +41,12 @@ class NotApplicable(QdegError):
     """The requested test is undefined for this channel."""
 
 
-class NotAChannel(QdegError):
-    """Input does not describe a valid CPTP channel.
+class NotAChannel(NotCompletelyPositive):
+    """Choi matrix outside the CP set: the one error every entry point raises
+    for it (see :func:`qdeg.channels.not_a_channel`).
 
     Carries diagnostics: minimum Choi eigenvalue and trace-preservation
-    residual, when known.
+    residual.
     """
 
     def __init__(self, msg, min_choi_eig=None, tp_residual=None):

@@ -11,11 +11,13 @@ import time
 import numpy as np
 
 from helpers import (
+    bloch_boundary_scale,
+    bloch_boundary_scales,
     measure_prepare_channel,
+    random_bloch_direction,
     random_channel,
     random_dephasing,
     random_density,
-    random_rank3_bloch,
     random_rank4_bloch,
     random_tetra_lambda,
     random_unitary,
@@ -130,13 +132,24 @@ def test_criterion_05_rank_dichotomy():
             assert degradable_test(k).state is NO
 
 
+def criterion_06_directions(rng, n: int = 10_000):
+    """Criterion 6's Bloch samples, drawn in the order of ``random_rank3_bloch``
+    (6 normals each) and then ``random_rank4_bloch`` (6 normals, 1 uniform each):
+    the rank-3 directions and the rank-4 directions with their uniform factors.
+    """
+    rank3 = np.array([random_bloch_direction(rng) for _ in range(n)])
+    rank4 = [(random_bloch_direction(rng), rng.uniform(0.0, 0.995)) for _ in range(n)]
+    return rank3, np.array([d for d, _ in rank4]), np.array([u for _, u in rank4])
+
+
 def test_criterion_06_specialized_vs_general():
     with criterion(6, "rank-3 / rank-4 / unital closed forms agree with the general test"):
         rng = np.random.default_rng(20_002)
         band = 1e-7
+        rank3, rank4, shrink = criterion_06_directions(rng)
 
-        for _ in range(10_000):
-            b = random_rank3_bloch(rng)
+        for (t, lam), s in zip(rank3, bloch_boundary_scales(rank3[:, 0], rank3[:, 1])):
+            b = BlochParams(t=s * t, lam=s * lam)
             try:
                 closed = rank3_antidegradable(b)
             except WrongRank:
@@ -146,8 +159,8 @@ def test_criterion_06_specialized_vs_general():
             general = antidegradable_test(choi_from_bloch(b))
             assert closed.state == general.state or abs(general.margin) <= band
 
-        for _ in range(10_000):
-            b = random_rank4_bloch(rng)
+        for (t, lam), s in zip(rank4, bloch_boundary_scales(rank4[:, 0], rank4[:, 1]) * shrink):
+            b = BlochParams(t=s * t, lam=s * lam)
             closed = rank4_antidegradable(b)
             general = antidegradable_test(choi_from_bloch(b))
             assert closed.state == general.state or abs(general.margin) <= band
@@ -157,6 +170,14 @@ def test_criterion_06_specialized_vs_general():
             closed = unital_antidegradable(lam)
             general = antidegradable_test(choi_from_bloch(BlochParams(t=np.zeros(3), lam=lam)))
             assert closed.state == general.state or abs(general.margin) <= band
+
+
+def test_criterion_06_batched_scales_are_scalar_scales():
+    rank3, rank4, _ = criterion_06_directions(np.random.default_rng(20_002))
+    for d in (rank3[:500], rank4[:500]):
+        batched = bloch_boundary_scales(d[:, 0], d[:, 1])
+        scalar = np.array([bloch_boundary_scale(t, lam) for t, lam in d])
+        assert np.array_equal(batched.view(np.int64), scalar.view(np.int64))
 
 
 def test_criterion_07_eb_implies_antidegradable():

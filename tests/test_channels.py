@@ -33,6 +33,7 @@ from qdeg.channels import (
     transfer_from_choi,
     unital,
 )
+from qdeg.classify import classify
 from qdeg.errors import (
     InvalidDimension,
     InvalidParameter,
@@ -160,6 +161,11 @@ class TestKrausFromChoi:
         c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1, 1, -1]))
         with pytest.raises(NotCompletelyPositive):
             kraus_from_choi(c)
+
+    def test_rejects_tol_above_every_eigenvalue(self):
+        # rank 0: no eigenvalue of the completely depolarizing Choi (all 1/2) exceeds 0.3 * 2
+        with pytest.raises(InvalidParameter):
+            kraus_from_choi(choi_from_kraus(completely_depolarizing()), 0.3)
 
     def test_near_boundary_trace_preserving(self):
         # the three eigenvalues p/4 fall below the rank cutoff; the kept
@@ -383,6 +389,18 @@ class TestChoiRank:
         c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1, 1, -1]))
         with pytest.raises(NotCompletelyPositive):
             choi_rank(c)
+
+    @pytest.mark.parametrize("p", [6e-10, 2e-9])
+    def test_kraus_count_is_rank(self, p):
+        # the eigenvalues p/2 lie below the rank cutoff tol * tr(C) = 2e-9
+        c = choi_from_kraus(depolarizing(p))
+        assert len(kraus_from_choi(c).operators) == choi_rank(c) == classify(c).choi_rank == 1
+
+    def test_unital_edge_of_cp_set(self):
+        # Bell weights mu = (4 + 3e-9, -1e-9, -1e-9, -1e-9): Choi eigenvalue -5e-10, inside the gate
+        lam = [1 + 1e-9] * 3
+        c = choi_from_bloch(unital(lam))
+        assert choi_rank(c) == len(kraus_from_choi(c).operators) == classify(c).choi_rank == 1
 
 
 class TestUnitaryCovariance:

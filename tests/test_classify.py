@@ -325,6 +325,32 @@ class TestClassify:
         assert exc.value.min_choi_eig < -0.9
         assert exc.value.tp_residual <= 1e-10
 
+    def test_not_a_channel_is_not_completely_positive(self):
+        with pytest.raises(NotCompletelyPositive) as exc:
+            classify(BlochParams(t=[0, 0, 0], lam=[1, 1, -1]))
+        assert isinstance(exc.value, NotAChannel)
+
+    def test_every_verdict_raises_one_error(self):
+        # Choi spectrum (-0.1, -0.1, -0.1, 2.3)
+        c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1.2, 1.2, 1.2]))
+        with pytest.raises(NotAChannel) as want:
+            classify(c)
+        for verdict in (antidegradable_test, degradable_test, entanglement_breaking_test, self_complementary_test):
+            with pytest.raises(NotAChannel) as got:
+                verdict(c)
+            assert str(got.value) == str(want.value), verdict
+        with pytest.raises(NotAChannel):
+            unital_antidegradable([1.2, 1.2, 1.2])
+
+    def test_unital_edge_of_cp_set(self):
+        # Bell weights (4 + 3e-9, -1e-9, -1e-9, -1e-9): Choi eigenvalue -5e-10, inside the gate
+        lam = [1 + 1e-9] * 3
+        rep = classify(BlochParams(t=[0, 0, 0], lam=lam))
+        assert rep.cp is True and rep.choi_rank == 1
+        closed = unital_antidegradable(lam)
+        assert closed.state is rep.antidegradable.state
+        assert abs(closed.margin - rep.antidegradable.margin) <= 1e-12
+
     def test_accepts_choi_input(self):
         rep = classify(choi_from_kraus(dephasing(0.4)))
         assert rep.degradable.state in (YES, BOUNDARY)

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +9,10 @@ import pytest
 
 from helpers import assert_sweep_row_matches_classify
 from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, rank2
+from qdeg.classify import unital_antidegradable
 from qdeg.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_spec(tmp_path, doc, name="chan.json"):
@@ -436,6 +441,121 @@ class TestSweepCommand:
         code, out, err = run(capsys, ["sweep", write_spec(tmp_path, spec)])
         assert code == 2 and out == ""
         assert err.startswith("error: not a channel:") and "completely positive" in err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{path}", "--bogus"],
+        ["classify"],
+        [],
+        ["frobnicate", "{path}"],
+        ["classify", "{path}", "--format", "xml"],
+        ["classify", "{path}", "--tol", "abc"],
+        ["classify", "{path}", "--tol", "nan"],
+        ["classify", "{path}", "--tol", "-1"],
+        ["classify", "{path}", "--tol", "0"],
+        ["classify", "{path}", "--tol", "inf"],
+        ["oracle", "{path}", "--oracle-tol", "0"],
+        ["oracle", "{path}", "--oracle-tol", "nan"],
+        ["oracle", "{path}", "--max-iter", "0"],
+        ["oracle", "{path}", "--max-iter", "-5"],
+        ["oracle", "{path}", "--max-iter", "2.5"],
+    ], ids=["unknown-option", "missing-input", "missing-command", "unknown-command", "bad-choice",
+            "tol-abc", "tol-nan", "tol-negative", "tol-zero", "tol-inf", "oracle-tol-zero",
+            "oracle-tol-nan", "max-iter-zero", "max-iter-negative", "max-iter-float"])
+    def test_bad_option_exits_1(self, tmp_path, capsys, argv):
+        path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": 0.3, "beta": 0.5})
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "usage" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["classify", "-h"], ["oracle", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+    def test_valid_options_accepted(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "named", "name": "identity"})
+        code, out, _ = run(capsys, ["oracle", path, "--tol", "1e-6", "--oracle-tol", "1e-8", "--max-iter", "1"])
+        assert code == 0
+        doc = json.loads(out)  # strict JSON: no Infinity
+        assert doc["oracle"]["iterations"] >= 1 and math.isfinite(doc["oracle"]["residual"])
+
+
+LAM_EDGE = [1 + 1e-9] * 3  # Choi spectrum (2 + 1.5e-9, -5e-10, -5e-10, -5e-10)
+NON_CP = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1, 1, -1]}
+
+
+class TestCpGate:
+    """One CP gate and one rank for every command and representation."""
+
+    def test_edge_of_cp_set_gets_one_answer(self, tmp_path, capsys):
+        docs = [{"kind": "bloch", "t": [0, 0, 0], "lambda": LAM_EDGE},
+                {"kind": "named", "name": "unital", "lambda": LAM_EDGE}]
+        reports = []
+        for doc in docs:
+            path = write_spec(tmp_path, doc)
+            code, out, err = run(capsys, ["classify", path])
+            assert code == 0, err
+            reports.append(json.loads(out))
+            code, out, err = run(capsys, ["convert", path, "--to", "kraus"])
+            assert code == 0, err
+            assert len(json.loads(out)["operators"]) == reports[-1]["choi_rank"] == 1
+            code, out, err = run(capsys, ["complement", path])
+            assert code == 0, err
+            assert json.loads(out)["output_dim"] == 1
+        assert reports[0] == reports[1]
+        assert reports[0]["cp"] is True
+        anti = unital_antidegradable(LAM_EDGE)
+        assert anti.state.value == reports[0]["antidegradable"]["state"]
+        spec = {"family": "unital", "direction": [1, 1, 1], "scale": {"min": 1 + 1e-9, "max": 1.5, "steps": 2}}
+        code, out, _ = run(capsys, ["sweep", write_spec(tmp_path, spec)])
+        assert code == 0
+        rows = sweep_rows(out)
+        assert [row["scale"] for row in rows] == [1 + 1e-9]
+        assert_sweep_row_matches_classify(rows[0], BlochParams(t=np.zeros(3), lam=LAM_EDGE))
+
+    @pytest.mark.parametrize("doc", [NON_CP, {"kind": "named", "name": "unital", "lambda": [1, 1, -1]}],
+                             ids=["bloch", "named-unital"])
+    def test_every_command_prints_classify_error(self, tmp_path, capsys, doc):
+        path = write_spec(tmp_path, doc)
+        code, out, err = run(capsys, ["classify", path])
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: not a channel: Choi matrix has eigenvalue \S+; channel is not CP "
+                            r"\(min Choi eigenvalue \S+, TP residual \S+\)\n", err)
+        for argv in (["convert", path, "--to", "kraus"], ["convert", path, "--to", "choi"],
+                     ["complement", path], ["oracle", path]):
+            assert run(capsys, argv) == (2, "", err), argv
+
+    def test_convert_to_kraus_count_is_choi_rank(self, tmp_path, capsys):
+        k1, k2 = rank2(0.3, 0.5).operators
+        docs = [{"kind": "kraus", "operators": [[[[v.real, v.imag] for v in row] for row in k]
+                                                for k in (k1, k2 / np.sqrt(2), k2 / np.sqrt(2))]}]
+        for p in (6e-10, 2e-9, 0.3):
+            c = choi_from_kraus(depolarizing(p)).matrix
+            docs.append({"kind": "choi", "matrix": [[[v.real, v.imag] for v in row] for row in c]})
+        for doc in docs:
+            path = write_spec(tmp_path, doc)
+            _, out, _ = run(capsys, ["classify", path])
+            rank = json.loads(out)["choi_rank"]
+            code, out, _ = run(capsys, ["convert", path, "--to", "kraus"])
+            assert code == 0 and len(json.loads(out)["operators"]) == rank
+
+
+def readme_json_blocks() -> list:
+    return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    blocks = readme_json_blocks()
+    assert len(blocks) >= 2
+    for doc in blocks:
+        command = "sweep" if "family" in doc else "classify"
+        code, out, err = run(capsys, [command, write_spec(tmp_path, doc)])
+        assert code == 0 and err == "", (doc, err)
 
 
 AXES = ("alpha", "beta", "p", "scale")

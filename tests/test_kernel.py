@@ -61,7 +61,7 @@ def reference(c: np.ndarray) -> dict:
     elif rank >= 3:
         deg = float(2 - rank)
     else:
-        pair = kraus_from_choi(ChoiMatrix(c), TOL * float(np.trace(c).real))
+        pair = kraus_from_choi(ChoiMatrix(c), TOL)
         deg = anti_ref(choi_of(complement(pair).operators))
     pt = c.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     return {"anti": anti_ref(c), "deg": deg, "eb": float(np.linalg.eigvalsh(pt)[0]), "rank": rank}
