@@ -55,6 +55,10 @@ TP_TOL = 1e-10
 #: of every verdict margin (the Boundary half-width).
 DEFAULT_TOL = 1e-9
 
+#: Every tol must lie below this. The top eigenvalue of a Choi spectrum is at
+#: least tr(C) / 4, so a rank cutoff tol * tr(C) below it keeps the rank >= 1.
+TOL_LIMIT = 0.25
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.complex128)
@@ -250,8 +254,6 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
     :class:`NotAChannel` when ``c`` fails the CP gate.
     """
     rank = choi_rank(c, tol)
-    if not rank:
-        raise InvalidParameter(f"tol {tol} leaves no Choi eigenvalue above tol * tr(C)")
     eig = c.eigen
     ops = [
         linalg.unvec(np.sqrt(lam) * v, 2, 2)
@@ -363,14 +365,23 @@ def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
     return linalg._partial_trace(c.matrix, 2, 2, traced=0)
 
 
+def check_tol(tol: float) -> None:
+    """Raise :class:`InvalidParameter` unless ``tol < TOL_LIMIT``."""
+    if not tol < TOL_LIMIT:
+        raise InvalidParameter(f"tol must be below {TOL_LIMIT}, got {tol!r}: a rank cutoff "
+                               f"tol * tr(C) >= tr(C) / 4 can exceed every Choi eigenvalue")
+
+
 def rank_and_cp(eigenvalues, tol: float = DEFAULT_TOL):
     """The Choi rank and the CP gate of ascending Choi spectra (last axis).
 
     The rank counts the eigenvalues above ``tol * tr(C)``; C passes the CP
     gate when its minimum eigenvalue is at least ``-tol * max(1, ||C||_F)``.
     ``tr(C)`` and ``||C||_F`` are the sum and the 2-norm of the spectrum.
-    Returns ``(rank, cp)``, 0-d arrays for one spectrum.
+    Returns ``(rank, cp)``, 0-d arrays for one spectrum. ``tol`` must pass
+    :func:`check_tol`.
     """
+    check_tol(tol)
     eigs = np.asarray(eigenvalues)
     cp = eigs[..., 0] >= -tol * np.maximum(np.linalg.norm(eigs, axis=-1), 1.0)
     return np.sum(eigs > tol * np.sum(eigs, axis=-1)[..., None], axis=-1), cp

@@ -40,7 +40,7 @@ import numpy as np
 from . import channels as ch
 from . import symext as se
 from .classify import antidegradable_test, classify, verdict_kernel, verdict_state
-from .errors import NotCompletelyPositive, NumericalFailure, QdegError
+from .errors import InvalidParameter, NotCompletelyPositive, NumericalFailure, QdegError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -386,13 +386,23 @@ def _positive(kind):
     return parse
 
 
+def _tol(text: str) -> float:
+    """Option type of ``--tol``: positive, finite and passing ``channels.check_tol``."""
+    x = _positive(float)(text)
+    try:
+        ch.check_tol(x)
+    except InvalidParameter as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdeg", description="Qubit channel degradability toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("input", help="path to a JSON channel spec, or - for stdin")
-        p.add_argument("--tol", type=_positive(float), default=ch.DEFAULT_TOL, help="margin tolerance")
+        p.add_argument("--tol", type=_tol, default=ch.DEFAULT_TOL, help="margin tolerance")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("classify", help="classify a channel")

@@ -1,4 +1,4 @@
-"""Alternating-projection oracle for two-qubit symmetric extendibility.
+"""Symmetric-extension oracle for two-qubit targets: two solvers, two proofs.
 
 Given a two-qubit state on X (x) Y (here: a Choi matrix normalized to
 trace one), the oracle searches for an 8x8 extension on X (x) Y (x) Y'
@@ -22,9 +22,35 @@ marginal. Two loss-free reductions shape the search:
   cone removes the tangential geometry that otherwise makes the
   iteration sublinear.
 
-The iteration is Dykstra's scheme for one cone and one affine set, with
-the correction term attached to the cone step (projections onto affine
-sets need no corrections). Both answers carry a certificate:
+``oracle_extendible`` routes by that face: a full-rank target (no face,
+``_support_face`` returns None) goes to the barrier method, a
+rank-deficient one to the face-restricted alternating projections.
+
+Barrier method (``barrier_feasibility``, full rank). L has dimension 24
+and an orthonormal basis B_1..B_24 in closed form: L = Herm(X) (x) L_YY',
+where L_YY' is spanned by sym(P_i (x) P_j) over the non-identity Pauli
+matrices. The extensions are X(z) = x0 + sum_k z_k B_k with
+x0 = P_A(target (x) I/2), and the method maximizes t subject to
+S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
+the iterates centre. Both answers carry a certificate:
+
+- FEASIBLE: X(z) itself once it is positive definite (t > 0), or else its
+  PSD projection once that projection's residual drops below tol (this
+  decides targets whose optimal t is a rounding-level negative).
+- INFEASIBLE: the stationarity conditions of the barrier say that
+  Z = mu S^-1 is PSD, has trace one and is orthogonal to every B_k, so at
+  a centred point <Z, X> = <Z, S + t I> = 8 mu + t on A. Off centre Z is
+  only nearly orthogonal to L, so the certificate is
+  W = P_{L⊥}(mu S^-1) + c I with c = max(0, -lambda_min(P_{L⊥}(mu S^-1)))
+  (I lies in L⊥ because tr X = 0 on L). W is PSD and orthogonal to L. It
+  faces the same check <W, x0> < -CERT_RTOL * max(1, ||W||_F) as the
+  Dykstra certificate below; near the path it passes once t + 8 mu < 0.
+
+Alternating projections (``dykstra_feasibility``, any target; the oracle
+uses them for rank-deficient targets). The iteration is Dykstra's scheme
+for one cone and one affine set, with the correction term attached to the
+cone step (projections onto affine sets need no corrections). Both
+answers carry a certificate:
 
 - FEASIBLE: the PSD iterate y is returned as the witness once its
   explicit residuals (both marginals and swap symmetry) drop below tol.
@@ -61,18 +87,20 @@ broadcasts (no ``kron`` and no permutation matmuls), and norms are
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, I2
+from .channels import PAULI_BASIS, PAULIS, ChoiMatrix, I2
 from .errors import InvalidDimension, NotPSD, NumericalFailure
 
 #: Default residual tolerance for declaring feasibility.
 ORACLE_TOL = 1e-7
 
-#: Default iteration cap.
+#: Default iteration cap: Newton steps of the barrier method, projection
+#: cycles of the alternating projections.
 ORACLE_MAX_ITER = 20_000
 
 #: Target eigenvalues below this (relative to trace) count as kernel
@@ -107,6 +135,13 @@ CERT_RTOL = 1e-10
 EXTRAP_PERIOD = 300
 EXTRAP_LAG = 50
 EXTRAP_RHO_CAP = 0.9999
+
+#: Barrier path following: the start sets S = X - t I this far above singular,
+#: a Newton decrement below BARRIER_CENTRED counts as centred (and takes a
+#: full step), and each centred step divides mu by BARRIER_SHRINK.
+BARRIER_START_GAP = 1.0 / 32.0
+BARRIER_CENTRED = 1.0
+BARRIER_SHRINK = 50.0
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
@@ -150,6 +185,8 @@ class OracleResult:
     status: OracleStatus
     witness: np.ndarray | None
     residual: float
+    #: Newton steps of the barrier method or cycles of the alternating
+    #: projections; INCONCLUSIVE only at ``max_iter``.
     iterations: int
     #: Per-cycle iterate displacements, kept when record_displacements is set.
     displacements: tuple | None = None
@@ -179,16 +216,20 @@ def _norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(m, m).real))
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e = linalg._eigh(m)
+    return e.eigenvalues, e.eigenvectors
+
+
+def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The PSD projection of the Hermitian matrix with eigenpairs (w, v)."""
+    out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
+    return (out + linalg.dagger(out)) / 2.0
+
+
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues."""
-    m = (m + linalg.dagger(m)) / 2.0
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ linalg.dagger(v)
-    return (out + linalg.dagger(out)) / 2.0
+    return _psd_part(*_eigh((m + linalg.dagger(m)) / 2.0))
 
 
 def project_marginal(m: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -312,8 +353,11 @@ def dykstra_feasibility(
     X, while it is nonnegative at every PSD X. Without either certificate
     the run ends INCONCLUSIVE at ``problem.max_iter``.
     """
+    return _dykstra(problem, _support_face(problem.target), record_displacements)
+
+
+def _dykstra(problem: ExtensionProblem, face: _Face | None, record_displacements: bool = False) -> OracleResult:
     target = problem.target
-    face = _support_face(target)
     x = _tensor_eye(target / 2.0)
     correction = np.zeros((8, 8), dtype=np.complex128)
     displacements: list[float] = []
@@ -354,10 +398,126 @@ def dykstra_feasibility(
     return result(OracleStatus.INCONCLUSIVE, problem.max_iter)
 
 
+@functools.cache
+def _extension_directions() -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of L and the barrier's search directions, built once.
+
+    L is Herm(X) (x) L_YY', where L_YY' is spanned by sym(P_i (x) P_j) for
+    Pauli matrices P_i, P_j != I: swap invariance pairs the Pauli
+    coefficients of Y and Y', and a zero Y' marginal removes every term
+    with an identity factor (dimension 4 * 6 = 24). Returns ``(basis,
+    directions)``: ``basis`` is a read-only (24, 128) real array whose rows
+    are the real views of the orthonormal B_1..B_24 (orthonormal under
+    Re tr(A^dag B)); ``directions`` is the (25, 8, 8) stack B_1..B_24, -I
+    along which X(z) - t I moves.
+    """
+    pairs = [np.kron(p, q) + np.kron(q, p) for i, p in enumerate(PAULIS) for q in PAULIS[i:]]
+    units = [np.kron(a, k) for a in PAULI_BASIS for k in pairs]
+    stack = np.stack([u / _norm(u) for u in units])
+    basis = stack.view(np.float64).reshape(len(units), 128)
+    directions = np.concatenate([stack, -_EYE8[None]])
+    basis.setflags(write=False)
+    directions.setflags(write=False)
+    return basis, directions
+
+
+def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
+    """Log-det barrier path-following search for a symmetric extension.
+
+    Maximizes t subject to X(z) - t I being positive definite over the
+    affine set A = {X(z) = x0 + sum_k z_k B_k}, with x0 = P_A(target (x) I/2)
+    and B an orthonormal basis of L. Each iteration is one (possibly
+    damped) Newton step on -t/mu - log det(X - t I), and ``iterations``
+    counts these steps; mu is divided by BARRIER_SHRINK after every step
+    taken from a centred point. The start point and every iterate are
+    checked for both proofs, so a target whose x0 is already positive
+    definite returns x0 after 0 steps:
+
+    - FEASIBLE: X itself once it is positive definite, or its PSD
+      projection once that projection's residual is at most ``tol``.
+    - INFEASIBLE: W = P_{L^perp}(mu S^-1) + c I, with S = X - t I and c
+      lifting W to PSD, once <W, x0> < -CERT_RTOL * max(1, ||W||_F).
+
+    A run with neither proof ends INCONCLUSIVE at ``problem.max_iter``
+    steps, with the residual of the last iterate's PSD projection.
+    """
+    target = problem.target
+    x0 = _project_affine(_tensor_eye(target / 2.0), target)
+    x0 = (x0 + linalg.dagger(x0)) / 2.0
+    x = x0
+    w, v = _eigh(x)
+    # S = X - t I starts BARRIER_START_GAP above singular; mu zeroes the t-gradient
+    t = float(w[0]) - BARRIER_START_GAP
+    w = w - t
+    mu = 1.0 / float(np.sum(1.0 / w))
+    basis, directions = _extension_directions()
+    for it in range(problem.max_iter + 1):
+        lam_x = w + t  # the spectrum of X
+        if lam_x[0] > 0.0:
+            residual = _residual(x, target)
+            if residual <= problem.tol:
+                return OracleResult(OracleStatus.FEASIBLE, x, residual, it)
+        elif -lam_x[0] <= 2.0 * problem.tol:
+            # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
+            # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
+            y = _psd_part(lam_x, v)
+            residual = _residual(y, target)
+            if residual <= problem.tol:
+                return OracleResult(OracleStatus.FEASIBLE, y, residual, it)
+        s_inv = (v / w) @ linalg.dagger(v)
+        coords = basis @ s_inv.view(np.float64).ravel()  # <B_k, S^-1>
+        dual = mu * (s_inv - (coords @ basis).view(np.complex128).reshape(8, 8))
+        dual = (dual + linalg.dagger(dual)) / 2.0
+        if np.vdot(dual, x0).real < -CERT_RTOL:
+            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * _EYE8
+            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, _norm(cert)):
+                residual = _residual(_psd_part(lam_x, v), target)
+                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
+        if it == problem.max_iter:
+            break
+        # Newton step on f = -t / mu - log det S over (z, t), S moving along
+        # A_k = B_1..B_24, -I: grad_k = -tr(S^-1 A_k) (-1/mu more for t) and
+        # hess_kl = tr(F_k F_l) with F_k = A_k S^-1
+        n = len(directions)
+        f = (directions.reshape(n * 8, 8) @ s_inv).reshape(n, 8, 8)
+        hess = (f.reshape(n, 64) @ f.transpose(0, 2, 1).reshape(n, 64).T).real
+        grad = np.append(-coords, np.sum(1.0 / w) - 1.0 / mu)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"Newton system failed: {exc}") from exc
+        decrement = float(np.sqrt(max(0.0, -grad @ step)))
+        if not np.isfinite(decrement):
+            raise NumericalFailure("Newton step is not finite")
+        # a step inside the Dikin ellipsoid (decrement < 1) keeps S positive
+        # definite; the halving only absorbs rounding
+        alpha = 1.0 if decrement < BARRIER_CENTRED else 1.0 / (1.0 + decrement)
+        dx = (step[:-1] @ basis).view(np.complex128).reshape(8, 8)
+        dx = (dx + linalg.dagger(dx)) / 2.0
+        for _ in range(64):
+            w_new, v_new = _eigh(x + alpha * dx - (t + alpha * step[-1]) * _EYE8)
+            if w_new[0] > 0.0:
+                break
+            alpha /= 2.0
+        else:
+            raise NumericalFailure("barrier step left the cone")
+        x, t, w, v = x + alpha * dx, t + alpha * step[-1], w_new, v_new
+        if decrement < BARRIER_CENTRED:
+            mu /= BARRIER_SHRINK
+    residual = _residual(_psd_part(w + t, v), target)
+    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, problem.max_iter)
+
+
 def oracle_extendible(
     c: ChoiMatrix, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER
 ) -> OracleResult:
-    """Decide symmetric extendibility of a Choi matrix (normalized to c/2)."""
-    return dykstra_feasibility(
-        ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
-    )
+    """Decide symmetric extendibility of a Choi matrix (normalized to c/2).
+
+    Full-rank targets go to ``barrier_feasibility``; rank-deficient ones to
+    the face-restricted ``dykstra_feasibility``.
+    """
+    problem = ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
+    face = _support_face(problem.target)
+    if face is None:
+        return barrier_feasibility(problem)
+    return _dykstra(problem, face)

@@ -227,7 +227,7 @@ def test_criterion_09_unitary_covariance():
 
 
 def test_criterion_10_oracle_cross_validation():
-    with criterion(10, "Dykstra oracle agrees with the analytic verdict on 500 channels"):
+    with criterion(10, "symmetric-extension oracle agrees with the analytic verdict on 500 channels"):
         start = time.perf_counter()
         rng = np.random.default_rng(20_006)
         done = 0

@@ -45,7 +45,7 @@ from qdeg.classify import (
     self_complementary_test,
     unital_antidegradable,
 )
-from qdeg.errors import NotAChannel, NotApplicable, NotCompletelyPositive, WrongRank
+from qdeg.errors import InvalidParameter, NotAChannel, NotApplicable, NotCompletelyPositive, WrongRank
 from qdeg.linalg import kron
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
@@ -341,6 +341,19 @@ class TestClassify:
             assert str(got.value) == str(want.value), verdict
         with pytest.raises(NotAChannel):
             unital_antidegradable([1.2, 1.2, 1.2])
+
+    def test_tol_of_a_quarter_is_rejected(self):
+        # the completely depolarizing Choi spectrum is (1/2, 1/2, 1/2, 1/2): a
+        # rank cutoff tol * 2 >= 1/2 leaves no eigenvalue, and rank 0 read
+        # "degradable" with margin 2
+        c = choi_from_kraus(completely_depolarizing())
+        for tol in (0.25, 0.3, float("nan")):
+            for verdict in (classify, antidegradable_test, degradable_test, entanglement_breaking_test):
+                with pytest.raises(InvalidParameter):
+                    verdict(c, tol)
+        rep = classify(c, 0.2499)
+        assert rep.choi_rank == 4
+        assert rep.degradable.state is NO and rep.degradable.margin == -2.0
 
     def test_unital_edge_of_cp_set(self):
         # Bell weights (4 + 3e-9, -1e-9, -1e-9, -1e-9): Choi eigenvalue -5e-10, inside the gate

@@ -455,13 +455,17 @@ class TestCommandLine:
         ["classify", "{path}", "--tol", "-1"],
         ["classify", "{path}", "--tol", "0"],
         ["classify", "{path}", "--tol", "inf"],
+        ["classify", "{path}", "--tol", "0.25"],
+        ["classify", "{path}", "--tol", "0.3"],
+        ["sweep", "{path}", "--tol", "0.3"],
         ["oracle", "{path}", "--oracle-tol", "0"],
         ["oracle", "{path}", "--oracle-tol", "nan"],
         ["oracle", "{path}", "--max-iter", "0"],
         ["oracle", "{path}", "--max-iter", "-5"],
         ["oracle", "{path}", "--max-iter", "2.5"],
     ], ids=["unknown-option", "missing-input", "missing-command", "unknown-command", "bad-choice",
-            "tol-abc", "tol-nan", "tol-negative", "tol-zero", "tol-inf", "oracle-tol-zero",
+            "tol-abc", "tol-nan", "tol-negative", "tol-zero", "tol-inf", "tol-quarter", "tol-above-quarter",
+            "sweep-tol-above-quarter", "oracle-tol-zero",
             "oracle-tol-nan", "max-iter-zero", "max-iter-negative", "max-iter-float"])
     def test_bad_option_exits_1(self, tmp_path, capsys, argv):
         path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": 0.3, "beta": 0.5})
@@ -476,6 +480,15 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_tol_below_a_quarter_keeps_the_rank(self, tmp_path, capsys):
+        # at --tol 0.3 this printed choi_rank 0 and "degradable, margin 2.0"
+        path = write_spec(tmp_path, {"kind": "named", "name": "depolarizing", "p": 1.0})
+        code, out, _ = run(capsys, ["classify", path, "--tol", "0.2499"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["choi_rank"] == 4
+        assert doc["degradable"] == {"state": "no", "margin": -2.0}
 
     def test_valid_options_accepted(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "identity"})

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from helpers import random_channel, random_density, random_hermitian
 from qdeg.channels import (
+    ChoiMatrix,
     amplitude_damping,
     choi_from_kraus,
     completely_depolarizing,
@@ -16,8 +22,11 @@ from qdeg.symext import (
     SWAP_YYP,
     ExtensionProblem,
     OracleStatus,
+    barrier_feasibility,
     dykstra_feasibility,
     oracle_extendible,
+    _extension_directions,
+    _support_face,
     _swap,
     _tensor_eye,
     _trace_last,
@@ -330,3 +339,93 @@ class TestCertificate:
             assert (r.status is OracleStatus.INFEASIBLE) == (r.certificate is not None)
             if r.certificate is not None:
                 verify_certificate(r.certificate, c.matrix / 2)
+
+
+def _decided_with_proof(r, target):
+    """Assert a FEASIBLE or INFEASIBLE answer and check its proof."""
+    if r.status is OracleStatus.FEASIBLE:
+        verify_witness(r.witness, target)
+    else:
+        assert r.status is OracleStatus.INFEASIBLE, (r.status, r.iterations, r.residual)
+        verify_certificate(r.certificate, target)
+
+
+class TestBarrier:
+    def test_basis_is_orthonormal_basis_of_l(self):
+        basis, directions = _extension_directions()
+        assert basis.shape == (24, 128) and directions.shape == (25, 8, 8)
+        assert np.linalg.norm(basis @ basis.T - np.eye(24)) <= 1e-13
+        coords = np.array([_coords(b, H8) for b in directions[:24]]).T
+        assert np.linalg.norm(L_BASIS @ (L_BASIS.T @ coords) - coords) <= 1e-13
+        assert np.array_equal(directions[24], -np.eye(8))
+
+    def test_routes_by_support_face(self):
+        full = choi_from_kraus(depolarizing(0.3))
+        deficient = choi_from_kraus(amplitude_damping(0.7))
+        for c, solver in ((full, barrier_feasibility), (deficient, dykstra_feasibility)):
+            r = oracle_extendible(c)
+            ref = solver(ExtensionProblem(target=c.matrix / 2))
+            assert (r.status, r.iterations) == (ref.status, ref.iterations)
+
+    def test_positive_definite_start_returns_at_once(self):
+        r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4))
+        assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
+        assert np.linalg.norm(r.witness - np.eye(8) / 8) <= 1e-15
+
+    def test_inconclusive_only_at_the_cap(self):
+        rng = np.random.default_rng(16)
+        channels = (choi_from_kraus(random_channel(rng, env_dim=4)) for _ in range(100))
+        c = next(c for c in channels if oracle_extendible(c).iterations > 1)
+        r = oracle_extendible(c, max_iter=1)
+        assert r.status is OracleStatus.INCONCLUSIVE and r.iterations == 1
+        assert np.isfinite(r.residual) and r.witness is None and r.certificate is None
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-11])
+    def test_near_singular_full_rank_targets(self, eps):
+        # (1 - eps) C3 + eps C4: full rank, with a smallest eigenvalue near eps
+        rng = np.random.default_rng(14)
+        c4 = choi_from_kraus(random_channel(rng, env_dim=4)).matrix
+        signs = {1: 0, -1: 0}
+        while min(signs.values()) < 2:
+            c3 = choi_from_kraus(random_channel(rng, env_dim=3)).matrix
+            c = ChoiMatrix((1 - eps) * c3 + eps * c4)
+            margin = antidegradable_test(c).margin
+            sign = 1 if margin > 0 else -1
+            if abs(margin) <= 1e-3 or signs[sign] == 2:
+                continue
+            target = c.matrix / 2
+            assert _support_face(target) is None
+            r = oracle_extendible(c)
+            expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
+            assert r.status is expected and r.iterations <= 56, (margin, r.status, r.iterations)
+            _decided_with_proof(r, target)
+            signs[sign] += 1
+
+    def test_full_rank_sample_decided(self):
+        rng = np.random.default_rng(15)
+        infeasible = 0
+        for _ in range(200):
+            c = choi_from_kraus(random_channel(rng, env_dim=4))
+            margin = antidegradable_test(c).margin
+            r = oracle_extendible(c)
+            _decided_with_proof(r, c.matrix / 2)
+            if abs(margin) > 1e-3:
+                assert (r.status is OracleStatus.FEASIBLE) == (margin > 0), margin
+            infeasible += r.status is OracleStatus.INFEASIBLE
+        assert infeasible > 0
+
+    def test_cold_import_builds_no_basis(self):
+        # a rank-2 oracle call must not pay for the full-rank solver, and
+        # the package must not pull in scipy
+        code = (
+            "import sys, qdeg\n"
+            "from qdeg import symext\n"
+            "r = qdeg.oracle_extendible(qdeg.choi_from_kraus(qdeg.rank2(1.0, 0.2)))\n"
+            "assert r.status.value != 'inconclusive', r\n"
+            "assert symext._extension_directions.cache_info().currsize == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
