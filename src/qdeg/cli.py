@@ -23,9 +23,10 @@ grid point is CP.
 certificate under ``"certificate"`` when infeasible; an inconclusive run
 writes no file.
 
-Exit codes: 0 success, 1 unreadable or unparseable input or a bad command
-line, 2 input parsed but is not a valid channel (every command applies the
-one CP gate, ``qdeg.channels.rank_and_cp``), 3 numerical failure.
+Exit codes: 0 success, 1 unreadable or unparseable input, a bad command
+line or a sweep grid too large to build, 2 input parsed but is not a valid
+channel (every command applies the one CP gate,
+``qdeg.channels.rank_and_cp``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -253,9 +254,7 @@ def cmd_oracle(args) -> int:
     proof = {"witness": result.witness, "certificate": result.certificate}
     proof = {k: _matrix_out(m) for k, m in proof.items() if m is not None}
     if args.out and proof:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            json.dump(proof, fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(proof, indent=2) + "\n", args.out)
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -287,7 +286,12 @@ def _axis(doc, name: str) -> np.ndarray:
         raise SpecError(f"axis {name!r} needs steps >= 2")
     if not lo < hi:
         raise SpecError(f"axis {name!r} needs min < max")
-    return np.linspace(lo, hi, steps)
+    # numpy refuses the allocation (MemoryError) or the size (ValueError); just
+    # below 2**63 steps its arange overflows to an empty array (IndexError)
+    try:
+        return np.linspace(lo, hi, steps)
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise SpecError(f"axis {name!r} steps {steps} is too large to build: {exc}") from None
 
 
 def _sweep_grid(doc):
@@ -448,6 +452,9 @@ def main(argv=None) -> int:
         return EXIT_NOT_A_CHANNEL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

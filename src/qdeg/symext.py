@@ -22,9 +22,11 @@ marginal. Two loss-free reductions shape the search:
   cone removes the tangential geometry that otherwise makes the
   iteration sublinear.
 
-``oracle_extendible`` routes by that face: a full-rank target (no face,
-``_support_face`` returns None) goes to the barrier method, a
-rank-deficient one to the face-restricted alternating projections.
+``ExtensionProblem`` eigendecomposes the target once and keeps that face
+as ``face`` (None at full rank). ``oracle_extendible`` routes by it: a
+full-rank target goes to the barrier method, a rank-deficient one to the
+face-restricted alternating projections. Both solvers take only the
+problem and return an ``OracleResult``.
 
 Barrier method (``barrier_feasibility``, full rank). L has dimension 24
 and an orthonormal basis B_1..B_24 in closed form: L = Herm(X) (x) L_YY',
@@ -34,9 +36,9 @@ x0 = P_A(target (x) I/2), and the method maximizes t subject to
 S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
 the iterates centre. Both answers carry a certificate:
 
-- FEASIBLE: X(z) itself once it is positive definite (t > 0), or else its
-  PSD projection once that projection's residual drops below tol (this
-  decides targets whose optimal t is a rounding-level negative).
+- FEASIBLE: X(z) if positive definite, else its PSD projection if
+  lambda_min(X) >= -2 tol (this decides targets whose optimal t is a
+  rounding-level negative), once that witness's residual is below tol.
 - INFEASIBLE: the stationarity conditions of the barrier say that
   Z = mu S^-1 is PSD, has trace one and is orthogonal to every B_k, so at
   a centred point <Z, X> = <Z, S + t I> = 8 mu + t on A. Off centre Z is
@@ -79,16 +81,15 @@ answers carry a certificate:
 The analytic Choi-spectrum inequality is the authority; this oracle
 cross-validates it with a verifiable certificate in both directions.
 
-The swap, the Y' partial trace and the ``A (x) I`` lifts are reshapes and
-broadcasts (no ``kron`` and no permutation matmuls), and norms are
-``sqrt(vdot)``; ``SWAP_YYP`` remains as the explicit permutation matrix.
+``SWAP_YYP`` is the swap as an explicit permutation matrix: the reference
+that the tests check ``_swap`` and every witness against.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,18 +167,25 @@ class ExtensionProblem:
     target: np.ndarray
     tol: float = ORACLE_TOL
     max_iter: int = ORACLE_MAX_ITER
+    #: The support face every extension lives in, from the target's one
+    #: eigendecomposition; None for a full-rank target. Derived, not settable.
+    face: _Face | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.as_matrix(self.target)
         if m.shape != (4, 4):
             raise InvalidDimension(f"target must be 4x4, got {m.shape}")
         m = linalg.require_hermitian(m, "target")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise InvalidDimension(f"target trace must be 1, got {np.trace(m).real!r}")
-        if np.linalg.eigvalsh(m)[0] < -self.tol:
+        trace = float(np.trace(m).real)
+        if abs(trace - 1.0) > 1e-10:
+            raise InvalidDimension(f"target trace must be 1, got {trace!r}")
+        w, v = _eigh(m)
+        if w[0] < -self.tol:
             raise NotPSD("target is not PSD within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
+        kernel = v[:, w < KERNEL_CUTOFF * max(1.0, abs(trace))]
+        object.__setattr__(self, "face", _support_face(kernel))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +196,8 @@ class OracleResult:
     #: Newton steps of the barrier method or cycles of the alternating
     #: projections; INCONCLUSIVE only at ``max_iter``.
     iterations: int
-    #: Per-cycle iterate displacements, kept when record_displacements is set.
+    #: Per-cycle iterate displacements of the alternating projections;
+    #: None for the barrier method.
     displacements: tuple | None = None
     #: For INFEASIBLE: the 8x8 PSD dual certificate W (see the module docstring).
     certificate: np.ndarray | None = None
@@ -217,8 +226,12 @@ def _norm(m: np.ndarray) -> float:
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = linalg._eigh(m)
-    return e.eigenvalues, e.eigenvectors
+    """``np.linalg.eigh`` raising NumericalFailure; ``linalg._eigh``'s read-only
+    ``HermitianEigen`` would cost microseconds per projection cycle."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -268,11 +281,9 @@ class _Face:
     penalty: np.ndarray  # F = P_ker (x) I + swap(P_ker (x) I)
 
 
-def _support_face(target: np.ndarray) -> _Face | None:
-    """The face every extension must live in; None for a full-rank target."""
-    w, v = np.linalg.eigh(target)
-    scale = max(1.0, abs(float(np.trace(target).real)))
-    kernel = v[:, w < KERNEL_CUTOFF * scale]
+def _support_face(kernel: np.ndarray) -> _Face | None:
+    """The face every extension must live in, from the target's kernel
+    vectors (4 x k columns); None for a full-rank target (k = 0)."""
     if kernel.shape[1] == 0:
         return None
     lifted = _tensor_eye(kernel)  # columns phi (x) e_y'
@@ -290,10 +301,7 @@ def _project_face_psd(m: np.ndarray, face: _Face | None) -> np.ndarray:
         return project_psd(m)
     small = face.basis_h @ m @ face.basis
     small = (small + linalg.dagger(small)) / 2.0
-    try:
-        w, v = np.linalg.eigh(small)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    w, v = _eigh(small)
     w = np.maximum(w, 0.0)
     return face.basis @ ((v * w) @ linalg.dagger(v)) @ face.basis_h
 
@@ -305,6 +313,15 @@ def _residual(y: np.ndarray, target: np.ndarray) -> float:
     r2 = _norm(_trace_last(sy) - target)
     r3 = _norm(y - sy)
     return max(r1, r2, r3)
+
+
+def _lift(h: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The PSD lift W = h + c I, c = max(0, -lambda_min(h)), when it verifies
+    ``<W, x> < -CERT_RTOL * max(1, ||W||_F)``; else None."""
+    w = h + max(0.0, -float(linalg._eigvalsh(h)[0])) * _EYE8
+    if np.vdot(w, x).real < -CERT_RTOL * max(1.0, _norm(w)):
+        return w
+    return None
 
 
 def _certificate(y: np.ndarray, x: np.ndarray, face: _Face | None) -> np.ndarray | None:
@@ -329,15 +346,13 @@ def _certificate(y: np.ndarray, x: np.ndarray, face: _Face | None) -> np.ndarray
     if bound >= -CERT_RTOL:
         return None
     for h in candidates:
-        w = h + max(0.0, -float(linalg._eigvalsh(h)[0])) * _EYE8
-        if np.vdot(w, x).real < -CERT_RTOL * max(1.0, _norm(w)):
+        w = _lift(h, x)
+        if w is not None:
             return w
     return None
 
 
-def dykstra_feasibility(
-    problem: ExtensionProblem, record_displacements: bool = False
-) -> OracleResult:
+def dykstra_feasibility(problem: ExtensionProblem) -> OracleResult:
     """Run the alternating-projection search for a symmetric extension.
 
     Cycles the (face-restricted) PSD projection against the joint affine
@@ -351,28 +366,14 @@ def dykstra_feasibility(
     <W, P_A(y)> < -CERT_RTOL * max(1, ||W||_F): W is orthogonal to the affine
     set's linear part, so <W, X> takes that negative value at every affine
     X, while it is nonnegative at every PSD X. Without either certificate
-    the run ends INCONCLUSIVE at ``problem.max_iter``.
+    the run ends INCONCLUSIVE at ``problem.max_iter``. Every result carries
+    the per-cycle displacements ``||x_next - x||`` as ``displacements``.
     """
-    return _dykstra(problem, _support_face(problem.target), record_displacements)
-
-
-def _dykstra(problem: ExtensionProblem, face: _Face | None, record_displacements: bool = False) -> OracleResult:
-    target = problem.target
+    target, face = problem.target, problem.face
     x = _tensor_eye(target / 2.0)
     correction = np.zeros((8, 8), dtype=np.complex128)
     displacements: list[float] = []
     residual = np.inf
-
-    def result(status, iterations, witness=None, certificate=None):
-        return OracleResult(
-            status=status,
-            witness=witness,
-            residual=residual,
-            iterations=iterations,
-            displacements=tuple(displacements) if record_displacements else None,
-            certificate=certificate,
-        )
-
     for it in range(1, problem.max_iter + 1):
         r = x - correction
         y = _project_face_psd(r, face)
@@ -380,11 +381,10 @@ def _dykstra(problem: ExtensionProblem, face: _Face | None, record_displacements
         x_next = _project_affine(y, target)
         residual = _residual(y, target)
         if residual <= problem.tol:
-            return result(OracleStatus.FEASIBLE, it, witness=y)
-        if it == 1 or it % CERT_PERIOD == 0:
-            w = _certificate(y, x_next, face)
-            if w is not None:
-                return result(OracleStatus.INFEASIBLE, it, certificate=w)
+            return OracleResult(OracleStatus.FEASIBLE, y, residual, it, tuple(displacements))
+        w = _certificate(y, x_next, face) if it == 1 or it % CERT_PERIOD == 0 else None
+        if w is not None:
+            return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, tuple(displacements), w)
         displacements.append(_norm(x_next - x))
         if it % EXTRAP_PERIOD == 0 and len(displacements) > EXTRAP_LAG:
             d_now = displacements[-1]
@@ -395,7 +395,9 @@ def _dykstra(problem: ExtensionProblem, face: _Face | None, record_displacements
                     x_next = x_next + (x_next - x) * (rho / (1.0 - rho))
                     correction = np.zeros((8, 8), dtype=np.complex128)
         x = x_next
-    return result(OracleStatus.INCONCLUSIVE, problem.max_iter)
+    return OracleResult(
+        OracleStatus.INCONCLUSIVE, None, residual, problem.max_iter, tuple(displacements)
+    )
 
 
 @functools.cache
@@ -453,14 +455,10 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     basis, directions = _extension_directions()
     for it in range(problem.max_iter + 1):
         lam_x = w + t  # the spectrum of X
-        if lam_x[0] > 0.0:
-            residual = _residual(x, target)
-            if residual <= problem.tol:
-                return OracleResult(OracleStatus.FEASIBLE, x, residual, it)
-        elif -lam_x[0] <= 2.0 * problem.tol:
-            # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
-            # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
-            y = _psd_part(lam_x, v)
+        # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
+        # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
+        if lam_x[0] >= -2.0 * problem.tol:
+            y = x if lam_x[0] > 0.0 else _psd_part(lam_x, v)
             residual = _residual(y, target)
             if residual <= problem.tol:
                 return OracleResult(OracleStatus.FEASIBLE, y, residual, it)
@@ -469,8 +467,8 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
         dual = mu * (s_inv - (coords @ basis).view(np.complex128).reshape(8, 8))
         dual = (dual + linalg.dagger(dual)) / 2.0
         if np.vdot(dual, x0).real < -CERT_RTOL:
-            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * _EYE8
-            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, _norm(cert)):
+            cert = _lift(dual, x0)
+            if cert is not None:
                 residual = _residual(_psd_part(lam_x, v), target)
                 return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
         if it == problem.max_iter:
@@ -517,7 +515,6 @@ def oracle_extendible(
     the face-restricted ``dykstra_feasibility``.
     """
     problem = ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
-    face = _support_face(problem.target)
-    if face is None:
+    if problem.face is None:
         return barrier_feasibility(problem)
-    return _dykstra(problem, face)
+    return dykstra_feasibility(problem)

@@ -390,11 +390,23 @@ class TestSweepCommand:
         {"min": 0.1, "max": 1.0, "steps": True},
         {"min": None, "max": 1.0, "steps": 3},
         {"max": 1.0, "steps": 3},
-    ], ids=["all-three", "string-min", "bool-max", "string-steps", "float-steps", "bool-steps", "null-min", "missing-min"])
+        # beyond the 128 TiB user address space: numpy refuses without allocating
+        {"min": 0, "max": 1, "steps": 10**15},
+        {"min": 0, "max": 1, "steps": 10**30},
+        {"min": 0, "max": 1, "steps": 2**63},
+    ], ids=["all-three", "string-min", "bool-max", "string-steps", "float-steps", "bool-steps", "null-min", "missing-min",
+            "steps-1e15", "steps-1e30", "steps-2pow63"])
     def test_mistyped_axis_exits_1(self, tmp_path, capsys, axis):
         code, out, err = run(capsys, ["sweep", write_spec(tmp_path, {"family": "depolarizing", "p": axis})])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "axis 'p'" in err and "Traceback" not in err
+
+    def test_grid_too_large_to_build_exits_1(self, tmp_path, capsys):
+        # each axis is 80 MB; the 10**14-point grid (728 TiB) exceeds any address space
+        axis = {"min": 0, "max": 1, "steps": 10**7}
+        code, out, err = run(capsys, ["sweep", write_spec(tmp_path, {"family": "rank2", "alpha": axis, "beta": axis})])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_finite_axis_exits_1(self, tmp_path, capsys):
         spec = {"family": "rank2", "alpha": {"min": 0, "max": math.inf, "steps": 3},

@@ -26,7 +26,6 @@ from qdeg.symext import (
     dykstra_feasibility,
     oracle_extendible,
     _extension_directions,
-    _support_face,
     _swap,
     _tensor_eye,
     _trace_last,
@@ -289,10 +288,7 @@ class TestDykstra:
             c = choi_from_kraus(k)
             if antidegradable_test(c).margin <= 1e-3:
                 continue
-            r = dykstra_feasibility(
-                ExtensionProblem(target=c.matrix / 2, max_iter=200_000),
-                record_displacements=True,
-            )
+            r = dykstra_feasibility(ExtensionProblem(target=c.matrix / 2, max_iter=200_000))
             if r.status is not OracleStatus.FEASIBLE or r.iterations < 700:
                 continue
             disp = np.array(r.displacements)
@@ -367,6 +363,18 @@ class TestBarrier:
             ref = solver(ExtensionProblem(target=c.matrix / 2))
             assert (r.status, r.iterations) == (ref.status, ref.iterations)
 
+    @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
+    def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
+        # ExtensionProblem decomposes the target; at these ranks the solvers
+        # decompose only 8x8 matrices and, at rank 2, 2x2 face restrictions
+        c = choi_from_kraus(kraus)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, fn=fn: calls.append(np.shape(a)) or fn(a))
+        oracle_extendible(c)
+        assert calls.count((4, 4)) == 1
+
     def test_positive_definite_start_returns_at_once(self):
         r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4))
         assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
@@ -394,7 +402,7 @@ class TestBarrier:
             if abs(margin) <= 1e-3 or signs[sign] == 2:
                 continue
             target = c.matrix / 2
-            assert _support_face(target) is None
+            assert ExtensionProblem(target=target).face is None
             r = oracle_extendible(c)
             expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
             assert r.status is expected and r.iterations <= 56, (margin, r.status, r.iterations)
