@@ -1,34 +1,18 @@
-"""Symmetric-extension oracle for two-qubit targets: two solvers, two proofs.
+"""Symmetric-extension oracle for two-qubit targets: one solver, two proofs.
 
 Given a two-qubit state on X (x) Y (here: a Choi matrix normalized to
 trace one), the oracle searches for an 8x8 extension on X (x) Y (x) Y'
 that is PSD, swap(Y, Y')-invariant and reproduces the target as its Y'
-marginal. Two loss-free reductions shape the search:
+marginal. If any symmetric extension exists, averaging it with its swap
+image gives one in the swap-invariant slice, so the search is restricted
+to the affine set A = {swap-invariant} ∩ {tr_Y' = target}, which
+``_project_affine`` projects onto in closed form. Its linear part is
+L = {swap-invariant} ∩ {tr_Y' = 0}; L's orthogonal complement holds the
+swap-antisymmetric matrices and every sym(B (x) I), because
+<sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 
-- If any symmetric extension exists, averaging it with its swap image
-  gives one in the swap-invariant slice, so the search is restricted to
-  swap-invariant candidates. The affine set A = {swap-invariant} ∩
-  {tr_Y' = target} is projected onto in closed form (the plain
-  composition of the two affine projections is not itself a projection,
-  which would void Dykstra's guarantees). Its linear part is
-  L = {swap-invariant} ∩ {tr_Y' = 0}; L's orthogonal complement holds the
-  swap-antisymmetric matrices and every sym(B (x) I), because
-  <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
-- A kernel vector phi of the target forces rho (|phi> (x) |y'>) = 0 for
-  any PSD extension (the marginal pins a zero diagonal block, and a PSD
-  matrix with a zero diagonal entry has a zero row). Together with swap
-  symmetry this confines extensions of rank-deficient targets to a known
-  face of the PSD cone; projecting onto that face instead of the full
-  cone removes the tangential geometry that otherwise makes the
-  iteration sublinear.
-
-``ExtensionProblem`` eigendecomposes the target once and keeps that face
-as ``face`` (None at full rank). ``oracle_extendible`` routes by it: a
-full-rank target goes to the barrier method, a rank-deficient one to the
-face-restricted alternating projections. Both solvers take only the
-problem and return an ``OracleResult``.
-
-Barrier method (``barrier_feasibility``, full rank). L has dimension 24
+``oracle_extendible`` builds an ``ExtensionProblem`` and hands it to
+``barrier_feasibility``, a log-det barrier method. L has dimension 24
 and an orthonormal basis B_1..B_24 in closed form: L = Herm(X) (x) L_YY',
 where L_YY' is spanned by sym(P_i (x) P_j) over the non-identity Pauli
 matrices. The extensions are X(z) = x0 + sum_k z_k B_k with
@@ -37,46 +21,27 @@ S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
 the iterates centre. Both answers carry a certificate:
 
 - FEASIBLE: X(z) if positive definite, else its PSD projection if
-  lambda_min(X) >= -2 tol (this decides targets whose optimal t is a
-  rounding-level negative), once that witness's residual is below tol.
+  lambda_min(X) >= -2 tol (this decides targets whose optimal t is zero
+  or a rounding-level negative), once that witness's residual is below
+  tol.
 - INFEASIBLE: the stationarity conditions of the barrier say that
   Z = mu S^-1 is PSD, has trace one and is orthogonal to every B_k, so at
   a centred point <Z, X> = <Z, S + t I> = 8 mu + t on A. Off centre Z is
   only nearly orthogonal to L, so the certificate is
   W = P_{L⊥}(mu S^-1) + c I with c = max(0, -lambda_min(P_{L⊥}(mu S^-1)))
-  (I lies in L⊥ because tr X = 0 on L). W is PSD and orthogonal to L. It
-  faces the same check <W, x0> < -CERT_RTOL * max(1, ||W||_F) as the
-  Dykstra certificate below; near the path it passes once t + 8 mu < 0.
+  (I lies in L⊥ because tr X = 0 on L). W is PSD and orthogonal to L, so
+  <W, X> takes one value on A, and it is >= 0 at every PSD X; the check
+  <W, x0> < -CERT_RTOL * max(1, ||W||_F) therefore proves that no PSD
+  point of A exists. Near the path it passes once t + 8 mu < 0.
+- INCONCLUSIVE: neither proof within the step cap.
 
-Alternating projections (``dykstra_feasibility``, any target; the oracle
-uses them for rank-deficient targets). The iteration is Dykstra's scheme
-for one cone and one affine set, with the correction term attached to the
-cone step (projections onto affine sets need no corrections). Both
-answers carry a certificate:
-
-- FEASIBLE: the PSD iterate y is returned as the witness once its
-  explicit residuals (both marginals and swap symmetry) drop below tol.
-- INFEASIBLE: a Hermitian W that is PSD, lies in L⊥ and has
-  <W, x> < -CERT_RTOL * max(1, ||W||_F) at an affine point x. Since <W, X> is
-  the same for every X in A (W is orthogonal to L) and is >= 0 for every
-  PSD X, no PSD point of A exists. W is built from the gap
-  g = y - P_A(y), which lies in L⊥ by construction; when the sets do not
-  meet, Dykstra's iterates approach a closest pair, the gap tends to the
-  minimal displacement d = y* - x*, and d is nonnegative on the face with
-  <d, x*> = -||d||^2. Two terms lift g to a PSD matrix without leaving L⊥:
-  the face penalty F = P_ker (x) I + swap(P_ker (x) I) (PSD, equal to
-  2 sym(P_ker (x) I), with <F, X> = 2 tr(P_ker target) on A, zero for an
-  exact kernel; its range is the span of the forbidden vectors, so t F
-  dominates g off the face), and c I with c = max(0, -lambda_min(g + t F))
-  (I = sym(I4 (x) I) and <I, X> = tr X = 1 on A). Hence W = g + t F + c I
-  and <W, X> = <g, x> + c on A, up to the kernel cutoff's share
-  2 t tr(P_ker target); the check evaluates <W, x> itself. The smallest
-  weight t of a fixed ladder that verifies is used: at a huge t the bound
-  CERT_RTOL * ||W||_F grows with t while c stops shrinking, so a larger t only
-  rejects valid certificates. The certificate is tried at cycle 1 and
-  every CERT_PERIOD cycles; rank-1 targets have an empty face and certify
-  at cycle 1.
-- INCONCLUSIVE: neither certificate within the iteration cap.
+The method decides targets of every rank. A rank-deficient target has no
+positive-definite extension, so the best t is at most 0. When the target
+is extendible the best t is 0, approached from below, and the PSD
+projection branch above accepts the iterate. When it is not, the best t
+is strictly negative (tr X = 1 on A keeps the points with lambda_min
+near 0 in a compact set, whose limit would be a PSD point of A), and the
+certificate applies unchanged.
 
 The analytic Choi-spectrum inequality is the authority; this oracle
 cross-validates it with a verifiable certificate in both directions.
@@ -89,7 +54,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,42 +65,17 @@ from .errors import InvalidDimension, NotPSD, NumericalFailure
 #: Default residual tolerance for declaring feasibility.
 ORACLE_TOL = 1e-7
 
-#: Default iteration cap: Newton steps of the barrier method, projection
-#: cycles of the alternating projections.
+#: Default iteration cap, in Newton steps.
 ORACLE_MAX_ITER = 20_000
 
-#: Target eigenvalues below this (relative to trace) count as kernel
-#: directions when computing the forced support face.
-KERNEL_CUTOFF = 1e-12
-
-#: The dual certificate is tried at cycle 1 and then every CERT_PERIOD
-#: cycles. A try far from verifying stops on a necessary bound (one inner
-#: product and at most one eigenvalue solve on the face); one that passes it
-#: scans CERT_WEIGHTS at one 8x8 eigenvalue solve per weight.
-CERT_PERIOD = 10
-
-#: Face-penalty weights tried, smallest first, for W = g + t F + c I.
-CERT_WEIGHTS = 10.0 ** np.arange(-2, 7)
-
-#: A certificate must reach <W, x> < -CERT_RTOL * max(1, ||W||_F). The bound
-#: only has to clear rounding (about 1e-15 * ||W||_F in W's PSD shift, in
-#: its component along L and in x's distance from A). The residual
-#: tolerance would be the wrong scale: the best reachable <W, x> is
-#: -||d||^2 for the gap d, so a bound of 1e-7 would leave every target
-#: with a gap below about 3e-4 undecided.
+#: A certificate must reach <W, x0> < -CERT_RTOL * max(1, ||W||_F). The
+#: bound only has to clear rounding (about 1e-15 * ||W||_F in W's PSD
+#: shift, in its component along L and in x0's distance from A). The
+#: residual tolerance would be the wrong scale: near the path <W, x0> is
+#: about t + 8 mu, which shrinks with the target's distance from the
+#: extendible set, so a bound of 1e-7 would leave near-boundary targets
+#: undecided.
 CERT_RTOL = 1e-10
-
-#: Geometric-extrapolation restart schedule: every EXTRAP_PERIOD cycles the
-#: linear convergence ratio is estimated from displacements over
-#: EXTRAP_LAG cycles; if it is below EXTRAP_RHO_CAP the iterate is pushed
-#: along its convergence direction by the geometric-series factor and the
-#: correction term reset. Extrapolated iterates stay inside the affine
-#: constraint set (affine combinations of affine-feasible points), so the
-#: restart only relocates the search; verdicts still come exclusively from
-#: certificates.
-EXTRAP_PERIOD = 300
-EXTRAP_LAG = 50
-EXTRAP_RHO_CAP = 0.9999
 
 #: Barrier path following: the start sets S = X - t I this far above singular,
 #: a Newton decrement below BARRIER_CENTRED counts as centred (and takes a
@@ -167,9 +107,6 @@ class ExtensionProblem:
     target: np.ndarray
     tol: float = ORACLE_TOL
     max_iter: int = ORACLE_MAX_ITER
-    #: The support face every extension lives in, from the target's one
-    #: eigendecomposition; None for a full-rank target. Derived, not settable.
-    face: _Face | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.as_matrix(self.target)
@@ -179,13 +116,10 @@ class ExtensionProblem:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-10:
             raise InvalidDimension(f"target trace must be 1, got {trace!r}")
-        w, v = _eigh(m)
-        if w[0] < -self.tol:
+        if linalg._eigvalsh(m)[0] < -self.tol:
             raise NotPSD("target is not PSD within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
-        kernel = v[:, w < KERNEL_CUTOFF * max(1.0, abs(trace))]
-        object.__setattr__(self, "face", _support_face(kernel))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +127,9 @@ class OracleResult:
     status: OracleStatus
     witness: np.ndarray | None
     residual: float
-    #: Newton steps of the barrier method or cycles of the alternating
-    #: projections; INCONCLUSIVE only at ``max_iter``.
+    #: Newton steps of the barrier method, 0 when the start point decides;
+    #: INCONCLUSIVE only at ``max_iter``.
     iterations: int
-    #: Per-cycle iterate displacements of the alternating projections;
-    #: None for the barrier method.
-    displacements: tuple | None = None
     #: For INFEASIBLE: the 8x8 PSD dual certificate W (see the module docstring).
     certificate: np.ndarray | None = None
 
@@ -227,7 +158,7 @@ def _norm(m: np.ndarray) -> float:
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` raising NumericalFailure; ``linalg._eigh``'s read-only
-    ``HermitianEigen`` would cost microseconds per projection cycle."""
+    ``HermitianEigen`` would cost microseconds per Newton step."""
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -238,20 +169,6 @@ def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The PSD projection of the Hermitian matrix with eigenpairs (w, v)."""
     out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
     return (out + linalg.dagger(out)) / 2.0
-
-
-def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues."""
-    return _psd_part(*_eigh((m + linalg.dagger(m)) / 2.0))
-
-
-def project_marginal(m: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto {rho : tr_Y'(rho) = target}.
-
-    The correction (target - tr_Y'(m)) (x) I/2 is tensored onto the Y'
-    factor; the map is idempotent.
-    """
-    return m + _tensor_eye((target - _trace_last(m)) / 2.0)
 
 
 def symmetrize_swap(m: np.ndarray) -> np.ndarray:
@@ -272,40 +189,6 @@ def _project_affine(m: np.ndarray, target: np.ndarray) -> np.ndarray:
     return x + symmetrize_swap(_tensor_eye(w))
 
 
-@dataclass(frozen=True, eq=False)
-class _Face:
-    """Support face of a rank-deficient target and its certificate penalty."""
-
-    basis: np.ndarray  # 8 x k orthonormal columns; k = 0 for an empty face
-    basis_h: np.ndarray  # basis^dag, computed once
-    penalty: np.ndarray  # F = P_ker (x) I + swap(P_ker (x) I)
-
-
-def _support_face(kernel: np.ndarray) -> _Face | None:
-    """The face every extension must live in, from the target's kernel
-    vectors (4 x k columns); None for a full-rank target (k = 0)."""
-    if kernel.shape[1] == 0:
-        return None
-    lifted = _tensor_eye(kernel)  # columns phi (x) e_y'
-    forbidden = np.stack([lifted, SWAP_YYP @ lifted], axis=-1).reshape(8, -1)
-    q, sv, _ = np.linalg.svd(forbidden, full_matrices=True)
-    basis = q[:, int(np.sum(sv > 1e-10)):]
-    # sum of f f^dag over the forbidden vectors f: P_ker (x) I + swap(P_ker (x) I)
-    penalty = forbidden @ linalg.dagger(forbidden)
-    return _Face(basis, np.ascontiguousarray(linalg.dagger(basis)), penalty)
-
-
-def _project_face_psd(m: np.ndarray, face: _Face | None) -> np.ndarray:
-    """Projection onto the PSD cone, restricted to the support face."""
-    if face is None:
-        return project_psd(m)
-    small = face.basis_h @ m @ face.basis
-    small = (small + linalg.dagger(small)) / 2.0
-    w, v = _eigh(small)
-    w = np.maximum(w, 0.0)
-    return face.basis @ ((v * w) @ linalg.dagger(v)) @ face.basis_h
-
-
 def _residual(y: np.ndarray, target: np.ndarray) -> float:
     """Constraint residual of a PSD iterate: both marginals and swap symmetry."""
     sy = _swap(y)
@@ -322,82 +205,6 @@ def _lift(h: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     if np.vdot(w, x).real < -CERT_RTOL * max(1.0, _norm(w)):
         return w
     return None
-
-
-def _certificate(y: np.ndarray, x: np.ndarray, face: _Face | None) -> np.ndarray | None:
-    """Dual certificate W = g + t F + c I from the gap g = y - x, or None.
-
-    ``x`` is P_A(y). W is returned only when it is PSD (by construction of
-    c) and ``<W, x> < -CERT_RTOL * max(1, ||W||_F)``; the smallest weight t
-    of CERT_WEIGHTS that verifies is used (t = 0 at full rank, where F = 0).
-    """
-    g = y - x
-    g = (g + linalg.dagger(g)) / 2.0
-    # <W, x> = <g, x> + c up to the vanishing <F, x>, and F is zero on the
-    # face, so no weight can push c below -lambda_min of g on the face
-    bound = np.vdot(g, x).real
-    if face is None:
-        candidates = (g,)
-    else:
-        if face.basis.shape[1]:
-            on_face = face.basis_h @ g @ face.basis
-            bound += max(0.0, -float(linalg._eigvalsh(on_face)[0]))
-        candidates = (g + t * face.penalty for t in CERT_WEIGHTS)
-    if bound >= -CERT_RTOL:
-        return None
-    for h in candidates:
-        w = _lift(h, x)
-        if w is not None:
-            return w
-    return None
-
-
-def dykstra_feasibility(problem: ExtensionProblem) -> OracleResult:
-    """Run the alternating-projection search for a symmetric extension.
-
-    Cycles the (face-restricted) PSD projection against the joint affine
-    projection, starting from target (x) I/2, with periodic
-    geometric-extrapolation restarts to defeat slow linear tails. Returns
-    FEASIBLE with the PSD iterate as witness once all its residuals drop
-    below ``problem.tol``. At cycle 1 and every CERT_PERIOD cycles it
-    builds the dual certificate W = g + t F + c I from the gap
-    g = y - P_A(y) (derivation in the module docstring) and returns
-    INFEASIBLE, with W as ``certificate``, when W is PSD and
-    <W, P_A(y)> < -CERT_RTOL * max(1, ||W||_F): W is orthogonal to the affine
-    set's linear part, so <W, X> takes that negative value at every affine
-    X, while it is nonnegative at every PSD X. Without either certificate
-    the run ends INCONCLUSIVE at ``problem.max_iter``. Every result carries
-    the per-cycle displacements ``||x_next - x||`` as ``displacements``.
-    """
-    target, face = problem.target, problem.face
-    x = _tensor_eye(target / 2.0)
-    correction = np.zeros((8, 8), dtype=np.complex128)
-    displacements: list[float] = []
-    residual = np.inf
-    for it in range(1, problem.max_iter + 1):
-        r = x - correction
-        y = _project_face_psd(r, face)
-        correction = y - r
-        x_next = _project_affine(y, target)
-        residual = _residual(y, target)
-        if residual <= problem.tol:
-            return OracleResult(OracleStatus.FEASIBLE, y, residual, it, tuple(displacements))
-        w = _certificate(y, x_next, face) if it == 1 or it % CERT_PERIOD == 0 else None
-        if w is not None:
-            return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, tuple(displacements), w)
-        displacements.append(_norm(x_next - x))
-        if it % EXTRAP_PERIOD == 0 and len(displacements) > EXTRAP_LAG:
-            d_now = displacements[-1]
-            d_then = displacements[-1 - EXTRAP_LAG]
-            if 0.0 < d_now < d_then:
-                rho = (d_now / d_then) ** (1.0 / EXTRAP_LAG)
-                if rho <= EXTRAP_RHO_CAP:
-                    x_next = x_next + (x_next - x) * (rho / (1.0 - rho))
-                    correction = np.zeros((8, 8), dtype=np.complex128)
-        x = x_next
-    return OracleResult(
-        OracleStatus.INCONCLUSIVE, None, residual, problem.max_iter, tuple(displacements)
-    )
 
 
 @functools.cache
@@ -453,6 +260,8 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     w = w - t
     mu = 1.0 / float(np.sum(1.0 / w))
     basis, directions = _extension_directions()
+    n = len(directions)
+    flat = directions.view(np.float64).reshape(n, 128)
     for it in range(problem.max_iter + 1):
         lam_x = w + t  # the spectrum of X
         # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
@@ -463,11 +272,12 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
             if residual <= problem.tol:
                 return OracleResult(OracleStatus.FEASIBLE, y, residual, it)
         s_inv = (v / w) @ linalg.dagger(v)
-        coords = basis @ s_inv.view(np.float64).ravel()  # <B_k, S^-1>
-        dual = mu * (s_inv - (coords @ basis).view(np.complex128).reshape(8, 8))
-        dual = (dual + linalg.dagger(dual)) / 2.0
-        if np.vdot(dual, x0).real < -CERT_RTOL:
-            cert = _lift(dual, x0)
+        coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = B_1..B_24, -I
+        # target (x) I/2 lies in L^perp, so x0 is orthogonal to L and
+        # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
+        if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
+            dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(8, 8))
+            cert = _lift((dual + linalg.dagger(dual)) / 2.0, x0)
             if cert is not None:
                 residual = _residual(_psd_part(lam_x, v), target)
                 return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
@@ -476,10 +286,10 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
         # A_k = B_1..B_24, -I: grad_k = -tr(S^-1 A_k) (-1/mu more for t) and
         # hess_kl = tr(F_k F_l) with F_k = A_k S^-1
-        n = len(directions)
         f = (directions.reshape(n * 8, 8) @ s_inv).reshape(n, 8, 8)
         hess = (f.reshape(n, 64) @ f.transpose(0, 2, 1).reshape(n, 64).T).real
-        grad = np.append(-coords, np.sum(1.0 / w) - 1.0 / mu)
+        grad = -coords
+        grad[-1] -= 1.0 / mu
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
@@ -493,13 +303,14 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
         dx = (step[:-1] @ basis).view(np.complex128).reshape(8, 8)
         dx = (dx + linalg.dagger(dx)) / 2.0
         for _ in range(64):
-            w_new, v_new = _eigh(x + alpha * dx - (t + alpha * step[-1]) * _EYE8)
+            x_new, t_new = x + alpha * dx, t + alpha * step[-1]
+            w_new, v_new = _eigh(x_new - t_new * _EYE8)
             if w_new[0] > 0.0:
                 break
             alpha /= 2.0
         else:
             raise NumericalFailure("barrier step left the cone")
-        x, t, w, v = x + alpha * dx, t + alpha * step[-1], w_new, v_new
+        x, t, w, v = x_new, t_new, w_new, v_new
         if decrement < BARRIER_CENTRED:
             mu /= BARRIER_SHRINK
     residual = _residual(_psd_part(w + t, v), target)
@@ -509,12 +320,6 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
 def oracle_extendible(
     c: ChoiMatrix, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER
 ) -> OracleResult:
-    """Decide symmetric extendibility of a Choi matrix (normalized to c/2).
-
-    Full-rank targets go to ``barrier_feasibility``; rank-deficient ones to
-    the face-restricted ``dykstra_feasibility``.
-    """
-    problem = ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
-    if problem.face is None:
-        return barrier_feasibility(problem)
-    return dykstra_feasibility(problem)
+    """Decide symmetric extendibility of a Choi matrix (normalized to c/2)
+    with ``barrier_feasibility``, at every Choi rank."""
+    return barrier_feasibility(ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter))

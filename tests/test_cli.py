@@ -252,6 +252,15 @@ class TestOracleCommand:
         assert doc["oracle"]["status"] == "infeasible"
         assert doc["analytic"]["state"] == "no"
 
+    def test_near_boundary_rank2_infeasible(self, tmp_path, capsys):
+        # a rank-2 target at analytic margin -2e-5
+        spec = {"kind": "named", "name": "rank2", "alpha": 0.7853931633974482, "beta": 0.0}
+        code, out, _ = run(capsys, ["oracle", write_spec(tmp_path, spec)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle"]["status"] == "infeasible"
+        assert doc["analytic"]["state"] == "no"
+
     def test_witness_file(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "depolarizing", "p": 0.8})
         wit_path = tmp_path / "witness.json"
@@ -507,7 +516,8 @@ class TestCommandLine:
         code, out, _ = run(capsys, ["oracle", path, "--tol", "1e-6", "--oracle-tol", "1e-8", "--max-iter", "1"])
         assert code == 0
         doc = json.loads(out)  # strict JSON: no Infinity
-        assert doc["oracle"]["iterations"] >= 1 and math.isfinite(doc["oracle"]["residual"])
+        # the barrier certifies the identity at its start point
+        assert doc["oracle"]["iterations"] == 0 and math.isfinite(doc["oracle"]["residual"])
 
 
 LAM_EDGE = [1 + 1e-9] * 3  # Choi spectrum (2 + 1.5e-9, -5e-10, -5e-10, -5e-10)

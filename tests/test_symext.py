@@ -14,6 +14,7 @@ from qdeg.channels import (
     completely_depolarizing,
     depolarizing,
     identity,
+    rank2,
 )
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, NotPSD
@@ -23,14 +24,13 @@ from qdeg.symext import (
     ExtensionProblem,
     OracleStatus,
     barrier_feasibility,
-    dykstra_feasibility,
     oracle_extendible,
     _extension_directions,
+    _project_affine,
+    _psd_part,
     _swap,
     _tensor_eye,
     _trace_last,
-    project_marginal,
-    project_psd,
     symmetrize_swap,
 )
 
@@ -137,15 +137,14 @@ class TestKernels:
                 kron_form = sum(np.kron(eye, e[None, :]) @ m @ np.kron(eye, e[:, None]) for e in I2)
                 assert np.max(np.abs(_trace_last(m) - kron_form)) <= 1e-15
 
-    def test_project_marginal(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            m, t = self._random(rng, 8), self._random(rng, 4)
-            expected = m + np.kron(t - partial_trace(m, 4, 2, 1), I2 / 2)
-            assert np.max(np.abs(project_marginal(m, t) - expected)) <= 1e-15
+
+def project_psd(m):
+    return _psd_part(*np.linalg.eigh(m))
 
 
 class TestProjectPsd:
+    """``_psd_part``, which turns the barrier's last iterate into a witness."""
+
     def test_fixed_point(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -166,39 +165,54 @@ class TestProjectPsd:
 
 
 class TestProjectMarginal:
+    """``_project_affine``, the joint projection onto the marginal constraint
+    and swap invariance (the set A), which builds every barrier start point."""
+
     def _target(self, rng):
         return random_density(rng, 4)
+
+    def _rhs(self, t):
+        return np.concatenate([np.zeros(len(H8)), _coords(t, H4)])
+
+    def test_meets_constraints(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            t = self._target(rng)
+            p = _project_affine(random_hermitian(rng, 8), t)
+            assert np.linalg.norm(CONSTRAINT_MATRIX @ _coords(p, H8) - self._rhs(t)) <= 1e-13
+            assert np.linalg.norm(p - p.conj().T) <= 1e-15
 
     def test_satisfying_input_unchanged(self):
         rng = np.random.default_rng(2)
         t = self._target(rng)
-        m = np.kron(t, I2 / 2)
-        assert np.linalg.norm(project_marginal(m, t) - m) <= 1e-13
+        coords = np.linalg.lstsq(CONSTRAINT_MATRIX, self._rhs(t), rcond=None)[0]
+        coords += L_BASIS @ rng.normal(size=L_BASIS.shape[1])
+        m = sum(c * b for c, b in zip(coords, H8))
+        assert np.linalg.norm(_project_affine(m, t) - m) <= 1e-13
 
     def test_product_case(self):
+        # swap-invariant a (x) s (x) s onto the target a (x) b: only the
+        # Y and Y' factors move, by sym((b - s) (x) I)
         rng = np.random.default_rng(3)
-        t = self._target(rng)
-        sigma = self._target(rng)
-        out = project_marginal(np.kron(sigma, I2 / 2), t)
-        assert np.linalg.norm(out - np.kron(t, I2 / 2)) <= 1e-12
+        a, b, s = random_density(rng, 2), random_density(rng, 2), random_density(rng, 2)
+        out = _project_affine(np.kron(a, np.kron(s, s)), np.kron(a, b))
+        yy = np.kron(s, s) + (np.kron(b - s, I2) + np.kron(I2, b - s)) / 2
+        assert np.linalg.norm(out - np.kron(a, yy)) <= 1e-14
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         t = self._target(rng)
         m = random_hermitian(rng, 8)
-        once = project_marginal(m, t)
-        assert np.linalg.norm(project_marginal(once, t) - once) <= 1e-12
+        once = _project_affine(m, t)
+        assert np.linalg.norm(_project_affine(once, t) - once) <= 1e-14
 
     def test_residual_orthogonal_to_constraint_set(self):
         rng = np.random.default_rng(5)
-        t = self._target(rng)
-        m = random_hermitian(rng, 8)
-        p = project_marginal(m, t)
         for _ in range(20):
-            a = project_marginal(random_hermitian(rng, 8), t)
-            b = project_marginal(random_hermitian(rng, 8), t)
-            inner = np.trace((m - p).conj().T @ (a - b))
-            assert abs(inner) <= 1e-10
+            t = self._target(rng)
+            m = random_hermitian(rng, 8)
+            moved = _coords(m - _project_affine(m, t), H8)
+            assert np.linalg.norm(L_BASIS.T @ moved) <= 1e-13
 
 
 class TestSymmetrizeSwap:
@@ -232,7 +246,7 @@ class TestExtensionProblem:
             ExtensionProblem(target=m)
 
 
-class TestDykstra:
+class TestOracle:
     def test_product_target_feasible(self):
         r = oracle_extendible(choi_from_kraus(completely_depolarizing()))
         assert r.status is OracleStatus.FEASIBLE
@@ -280,27 +294,39 @@ class TestDykstra:
                 pytest.fail("feasible region is not an up-set")
         assert seen_feasible
 
-    def test_displacement_non_increasing_after_burn_in(self):
-        rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 2:
-            k = random_channel(rng, env_dim=int(rng.integers(2, 5)))
-            c = choi_from_kraus(k)
-            if antidegradable_test(c).margin <= 1e-3:
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("margin", [-2e-5, -2e-6])
+    def test_near_boundary_rank2_infeasible(self, margin, beta):
+        # the canonical rank2 margin is -2 cos(2 alpha) cos(2 beta); at beta 0
+        # and -2e-5 this is the alpha 0.7853931633974482 of the CLI test
+        alpha = float(np.arccos(-margin / (2 * np.cos(2 * beta)))) / 2
+        c = choi_from_kraus(rank2(alpha, beta))
+        assert antidegradable_test(c).margin == pytest.approx(margin, rel=1e-6)
+        r = oracle_extendible(c)
+        assert r.status is OracleStatus.INFEASIBLE and r.iterations <= 56, (r.status, r.iterations)
+        verify_certificate(r.certificate, c.matrix / 2)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_agreement_by_rank(self, rank):
+        rng = np.random.default_rng(20 + rank)
+        done = 0
+        while done < 40:
+            c = choi_from_kraus(random_channel(rng, env_dim=rank))
+            margin = antidegradable_test(c).margin
+            if abs(margin) <= 1e-3:
                 continue
-            r = dykstra_feasibility(ExtensionProblem(target=c.matrix / 2, max_iter=200_000))
-            if r.status is not OracleStatus.FEASIBLE or r.iterations < 700:
-                continue
-            disp = np.array(r.displacements)
-            assert np.all(np.diff(disp[500:]) <= 1e-12)
-            checked += 1
+            r = oracle_extendible(c)
+            expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
+            assert r.status is expected and r.iterations <= 56, (margin, r.status, r.iterations)
+            _decided_with_proof(r, c.matrix / 2)
+            done += 1
 
 
 class TestCertificate:
     def test_identity_certified_at_first_cycle(self):
         c = choi_from_kraus(identity())
         r = oracle_extendible(c)
-        assert r.status is OracleStatus.INFEASIBLE and r.iterations == 1
+        assert r.status is OracleStatus.INFEASIBLE and r.iterations == 0
         verify_certificate(r.certificate, c.matrix / 2)
 
     def test_rank2_target(self):
@@ -311,7 +337,7 @@ class TestCertificate:
         verify_certificate(r.certificate, c.matrix / 2)
 
     def test_agreement_sample_certificates(self):
-        # the channels of TestDykstra.test_agreement_sample
+        # the channels of TestOracle.test_agreement_sample
         rng = np.random.default_rng(8)
         done = infeasible = 0
         while done < 40:
@@ -356,17 +382,19 @@ class TestBarrier:
         assert np.array_equal(directions[24], -np.eye(8))
 
     def test_routes_by_support_face(self):
-        full = choi_from_kraus(depolarizing(0.3))
-        deficient = choi_from_kraus(amplitude_damping(0.7))
-        for c, solver in ((full, barrier_feasibility), (deficient, dykstra_feasibility)):
+        # every Choi rank goes to the one solver
+        rng = np.random.default_rng(19)
+        for rank in (1, 2, 3, 4):
+            c = choi_from_kraus(random_channel(rng, env_dim=rank))
+            assert np.sum(np.linalg.eigvalsh(c.matrix) > 1e-9) == rank
             r = oracle_extendible(c)
-            ref = solver(ExtensionProblem(target=c.matrix / 2))
+            ref = barrier_feasibility(ExtensionProblem(target=c.matrix / 2))
             assert (r.status, r.iterations) == (ref.status, ref.iterations)
 
     @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
     def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
-        # ExtensionProblem decomposes the target; at these ranks the solvers
-        # decompose only 8x8 matrices and, at rank 2, 2x2 face restrictions
+        # ExtensionProblem checks the target's spectrum; the barrier
+        # decomposes only 8x8 matrices
         c = choi_from_kraus(kraus)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -402,7 +430,7 @@ class TestBarrier:
             if abs(margin) <= 1e-3 or signs[sign] == 2:
                 continue
             target = c.matrix / 2
-            assert ExtensionProblem(target=target).face is None
+            assert np.linalg.eigvalsh(target)[0] >= 1e-12  # full rank
             r = oracle_extendible(c)
             expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
             assert r.status is expected and r.iterations <= 56, (margin, r.status, r.iterations)
@@ -423,14 +451,17 @@ class TestBarrier:
         assert infeasible > 0
 
     def test_cold_import_builds_no_basis(self):
-        # a rank-2 oracle call must not pay for the full-rank solver, and
-        # the package must not pull in scipy
+        # the import must not build the barrier basis (oracle-mixed setup time
+        # pays for it), the first call builds it once, and the package must
+        # not pull in scipy
         code = (
             "import sys, qdeg\n"
             "from qdeg import symext\n"
+            "assert symext._extension_directions.cache_info().currsize == 0\n"
             "r = qdeg.oracle_extendible(qdeg.choi_from_kraus(qdeg.rank2(1.0, 0.2)))\n"
             "assert r.status.value != 'inconclusive', r\n"
-            "assert symext._extension_directions.cache_info().currsize == 0\n"
+            "info = symext._extension_directions.cache_info()\n"
+            "assert (info.currsize, info.misses) == (1, 1), info\n"
             "assert 'scipy' not in sys.modules\n"
         )
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
