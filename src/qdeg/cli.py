@@ -12,11 +12,12 @@ are serialized as two-element [re, im] arrays and matrices as row-major
 nested arrays. Output is deterministic: no timestamps, shortest
 round-trip float formatting.
 
-``sweep`` builds the Choi matrices of its whole grid as one stack and
-evaluates them in one call of the verdict kernel. Grid points outside the
-CP set (a unital ray with scale past the tetrahedron) are left out of the
-table, which keeps the grid's row order; the sweep exits 2 only when no
-grid point is CP.
+``sweep`` builds the Choi matrices of its whole grid as one stack,
+evaluates them in one call of the verdict kernel and formats the table
+one column at a time. Grid points outside the CP set (a unital ray with
+scale past the tetrahedron) are left out of the table, which keeps the
+grid's row order; the sweep exits 2 only when no grid point is CP.
+``classify --format csv`` and ``sweep`` share one CSV writer.
 
 ``oracle --out PATH`` writes the oracle's proof of its answer as JSON: the
 8x8 extension under ``"witness"`` when feasible, the 8x8 PSD dual
@@ -161,6 +162,21 @@ def _load_json(path: str):
         raise SpecError(f"cannot read input: {exc}") from exc
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "na" if v is None else str(v)
+
+
+def _csv(names, rows) -> str:
+    """CSV text of a header and row tuples, one cell rule for every command."""
+    lines = [",".join(names)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -177,29 +193,15 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_classify(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
     report = classify(channel, tol=args.tol)
-    d = report.to_dict()
     if args.format == "csv":
-        header = (
-            "anti_state,anti_margin,deg_state,deg_margin,eb_state,eb_margin,"
-            "unital,self_complementary,choi_rank,cp\n"
-        )
-        row = ",".join(
-            [
-                d["antidegradable"]["state"],
-                repr(d["antidegradable"]["margin"]),
-                d["degradable"]["state"],
-                repr(d["degradable"]["margin"]),
-                d["entanglement_breaking"]["state"],
-                repr(d["entanglement_breaking"]["margin"]),
-                str(d["unital"]).lower(),
-                "na" if d["self_complementary"] is None else str(d["self_complementary"]).lower(),
-                str(d["choi_rank"]),
-                str(d["cp"]).lower(),
-            ]
-        )
-        _emit(header + row + "\n", args.out)
+        a, d, e = report.antidegradable, report.degradable, report.entanglement_breaking
+        cells = {"anti_state": a.state.value, "anti_margin": a.margin, "deg_state": d.state.value,
+                 "deg_margin": d.margin, "eb_state": e.state.value, "eb_margin": e.margin,
+                 "unital": report.unital, "self_complementary": report.self_complementary,
+                 "choi_rank": report.choi_rank, "cp": report.cp}
+        _emit(_csv(list(cells), [cells.values()]), args.out)
     else:
-        _emit(json.dumps(d, indent=2) + "\n", args.out)
+        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -320,45 +322,27 @@ def cmd_sweep(args) -> int:
     outputs = doc.get("outputs", list(_SWEEP_COLUMNS))
     if not isinstance(outputs, list) or any(c not in _SWEEP_COLUMNS for c in outputs):
         raise SpecError(f"outputs must be a subset of {_SWEEP_COLUMNS}")
-    columns, stack = _sweep_grid(doc)
+    params, stack = _sweep_grid(doc)
     m = verdict_kernel(ch.validate_choi(stack), tol=args.tol)
-    del stack  # free it before the rows are built: it sets the peak memory
+    del stack  # free it before the columns are built: it sets the peak memory
     if not m.cp.any():
         raise NotCompletelyPositive(
             f"no grid point is completely positive "
             f"(largest minimum Choi eigenvalue {m.min_eig.max():.3e})"
         )
-    # grid points outside the CP set are left out
-    param_names = list(columns)
-    keep = m.cp
-    params_by_row = zip(*(columns[k][keep].tolist() for k in param_names))
-    margins_by_row = zip(m.anti[keep].tolist(), m.deg[keep].tolist(), m.eb[keep].tolist())
-    rows = []
-    for params, (anti, deg, eb) in zip(params_by_row, margins_by_row):
-        values = {
-            "anti_margin": anti,
-            "deg_margin": deg,
-            "eb_margin": eb,
-            "anti_state": verdict_state(anti, args.tol).value,
-            "deg_state": verdict_state(deg, args.tol).value,
-            "eb_state": verdict_state(eb, args.tol).value,
-        }
-        rows.append((dict(zip(param_names, params)), values))
+    # grid points outside the CP set are left out; an output column
+    # "<field>_margin" or "<field>_state" reads the Margins field <field>
+    built = {}
+    for name in dict.fromkeys(outputs):
+        margins = getattr(m, name.partition("_")[0])[m.cp].tolist()
+        states = name.endswith("_state")
+        built[name] = [verdict_state(x, args.tol).value for x in margins] if states else margins
+    names = list(params) + outputs
+    rows = zip(*[params[k][m.cp].tolist() for k in params], *[built[k] for k in outputs])
     if args.format == "json":
-        payload = [
-            {**{k: v for k, v in params.items()}, **{k: values[k] for k in outputs}}
-            for params, values in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = [",".join(list(param_names) + list(outputs))]
-    for params, values in rows:
-        cells = [repr(float(params[k])) for k in param_names]
-        for k in outputs:
-            v = values[k]
-            cells.append(repr(float(v)) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
+        _emit(json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n", args.out)
+    else:
+        _emit(_csv(names, rows), args.out)
     return EXIT_OK
 
 

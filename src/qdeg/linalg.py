@@ -19,7 +19,7 @@ reject non-finite entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,12 +141,11 @@ def _partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, transposed: int) -
     return t.reshape(m.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+class HermitianEigen(NamedTuple):
+    """Eigendecomposition of a Hermitian matrix, unpacking as ``w, v``.
 
     ``eigenvalues`` are real and ascending; column ``i`` of ``eigenvectors``
-    is the unit eigenvector for ``eigenvalues[i]``.
+    is the unit eigenvector for ``eigenvalues[i]``. Both arrays are read-only.
     """
 
     eigenvalues: np.ndarray

@@ -116,8 +116,11 @@ class ExtensionProblem:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-10:
             raise InvalidDimension(f"target trace must be 1, got {trace!r}")
-        if linalg._eigvalsh(m)[0] < -self.tol:
-            raise NotPSD("target is not PSD within tolerance")
+        lam_min = float(linalg._eigvalsh(m)[0])
+        if lam_min < -self.tol:
+            raise NotPSD(
+                f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-self.tol!r}"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
 
@@ -145,24 +148,8 @@ def _tensor_eye(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * _I2_AXES).reshape(2 * rows, 2 * cols)
 
 
-def _trace_last(m: np.ndarray) -> np.ndarray:
-    """Partial trace over the last qubit factor (Y' of an 8x8, Y of a 4x4)."""
-    n = m.shape[0] // 2
-    t = m.reshape(n, 2, n, 2)
-    return t[:, 0, :, 0] + t[:, 1, :, 1]
-
-
 def _norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(m, m).real))
-
-
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` raising NumericalFailure; ``linalg._eigh``'s read-only
-    ``HermitianEigen`` would cost microseconds per Newton step."""
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -184,27 +171,18 @@ def _project_affine(m: np.ndarray, target: np.ndarray) -> np.ndarray:
     the symmetrization is applied first.
     """
     x = symmetrize_swap(m)
-    delta = target - _trace_last(x)
-    w = delta - _tensor_eye(_trace_last(delta)) / 4.0
+    delta = target - linalg._partial_trace(x, 4, 2, 1)
+    w = delta - _tensor_eye(linalg._partial_trace(delta, 2, 2, 1)) / 4.0
     return x + symmetrize_swap(_tensor_eye(w))
 
 
 def _residual(y: np.ndarray, target: np.ndarray) -> float:
     """Constraint residual of a PSD iterate: both marginals and swap symmetry."""
     sy = _swap(y)
-    r1 = _norm(_trace_last(y) - target)
-    r2 = _norm(_trace_last(sy) - target)
+    r1 = _norm(linalg._partial_trace(y, 4, 2, 1) - target)
+    r2 = _norm(linalg._partial_trace(sy, 4, 2, 1) - target)
     r3 = _norm(y - sy)
     return max(r1, r2, r3)
-
-
-def _lift(h: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """The PSD lift W = h + c I, c = max(0, -lambda_min(h)), when it verifies
-    ``<W, x> < -CERT_RTOL * max(1, ||W||_F)``; else None."""
-    w = h + max(0.0, -float(linalg._eigvalsh(h)[0])) * _EYE8
-    if np.vdot(w, x).real < -CERT_RTOL * max(1.0, _norm(w)):
-        return w
-    return None
 
 
 @functools.cache
@@ -254,7 +232,7 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     x0 = _project_affine(_tensor_eye(target / 2.0), target)
     x0 = (x0 + linalg.dagger(x0)) / 2.0
     x = x0
-    w, v = _eigh(x)
+    w, v = linalg._eigh(x)
     # S = X - t I starts BARRIER_START_GAP above singular; mu zeroes the t-gradient
     t = float(w[0]) - BARRIER_START_GAP
     w = w - t
@@ -277,8 +255,10 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
         # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
         if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
             dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(8, 8))
-            cert = _lift((dual + linalg.dagger(dual)) / 2.0, x0)
-            if cert is not None:
+            dual = (dual + linalg.dagger(dual)) / 2.0
+            # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
+            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * _EYE8
+            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, _norm(cert)):
                 residual = _residual(_psd_part(lam_x, v), target)
                 return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
         if it == problem.max_iter:
@@ -304,7 +284,7 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
         dx = (dx + linalg.dagger(dx)) / 2.0
         for _ in range(64):
             x_new, t_new = x + alpha * dx, t + alpha * step[-1]
-            w_new, v_new = _eigh(x_new - t_new * _EYE8)
+            w_new, v_new = linalg._eigh(x_new - t_new * _EYE8)
             if w_new[0] > 0.0:
                 break
             alpha /= 2.0

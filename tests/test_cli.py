@@ -145,6 +145,22 @@ class TestClassifyCommand:
         assert lines[0].startswith("anti_state,anti_margin")
         assert lines[1].startswith("yes,")
 
+    @pytest.mark.parametrize("doc, row", [
+        ({"kind": "named", "name": "rank2", "alpha": math.pi / 4, "beta": 0.0},
+         "boundary,0.0,boundary,0.0,no,-0.5000000000000001,false,true,2,true"),
+        ({"kind": "named", "name": "rank2", "alpha": 0.3, "beta": 0.5},
+         "no,-0.8918614717015974,yes,0.8918614717015974,no,-0.682818960388909,false,false,2,true"),
+        ({"kind": "named", "name": "depolarizing", "p": 0.4},
+         "yes,0.3433202097703334,no,-2.0,no,-0.40000000000000013,true,na,4,true"),
+    ], ids=["self-complementary", "not-self-complementary", "self-complementary-na"])
+    def test_csv_bytes(self, tmp_path, capsys, doc, row):
+        code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc), "--format", "csv"])
+        assert code == 0 and err == ""
+        assert out == (
+            "anti_state,anti_margin,deg_state,deg_margin,eb_state,eb_margin,"
+            "unital,self_complementary,choi_rank,cp\n" + row + "\n"
+        )
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": 0.4, "beta": 1.1})
         _, out1, _ = run(capsys, ["classify", path])
@@ -357,6 +373,37 @@ class TestSweepCommand:
         code, out, _ = run(capsys, ["sweep", path])
         assert code == 0
         assert out.strip().split("\n")[0] == "p,anti_margin,anti_state"
+
+    def test_repeated_output_bytes(self, tmp_path, capsys):
+        # a repeated name repeats the CSV column; a JSON object holds the key once
+        spec = {"family": "depolarizing", "p": {"min": 0.0, "max": 1.0, "steps": 3},
+                "outputs": ["eb_state", "anti_margin", "anti_margin"]}
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, ["sweep", path])
+        assert code == 0 and err == ""
+        assert out == (
+            "p,eb_state,anti_margin,anti_margin\n"
+            "0.0,no,-2.0,-2.0\n"
+            "0.5,no,0.8090169943749479,0.8090169943749479\n"
+            "1.0,yes,2.0,2.0\n"
+        )
+        code, out, err = run(capsys, ["sweep", path, "--format", "json"])
+        assert code == 0 and err == ""
+        rows = [("0.0", "no", "-2.0"), ("0.5", "no", "0.8090169943749479"), ("1.0", "yes", "2.0")]
+        assert out == "[\n" + ",\n".join(
+            f'  {{\n    "p": {p},\n    "eb_state": "{eb}",\n    "anti_margin": {anti}\n  }}'
+            for p, eb, anti in rows
+        ) + "\n]\n"
+
+    def test_empty_outputs_bytes(self, tmp_path, capsys):
+        spec = {"family": "depolarizing", "p": {"min": 0.0, "max": 1.0, "steps": 3}, "outputs": []}
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, ["sweep", path])
+        assert code == 0 and err == ""
+        assert out == "p\n0.0\n0.5\n1.0\n"
+        code, out, err = run(capsys, ["sweep", path, "--format", "json"])
+        assert code == 0 and err == ""
+        assert out == '[\n  {\n    "p": 0.0\n  },\n  {\n    "p": 0.5\n  },\n  {\n    "p": 1.0\n  }\n]\n'
 
     def test_invalid_grid_exits_1(self, tmp_path, capsys):
         spec = {"family": "depolarizing", "p": {"min": 0.0, "max": 1.0, "steps": 1}}

@@ -18,7 +18,7 @@ from qdeg.channels import (
 )
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, NotPSD
-from qdeg.linalg import partial_trace
+from qdeg.linalg import _partial_trace, partial_trace
 from qdeg.symext import (
     SWAP_YYP,
     ExtensionProblem,
@@ -30,7 +30,6 @@ from qdeg.symext import (
     _psd_part,
     _swap,
     _tensor_eye,
-    _trace_last,
     symmetrize_swap,
 )
 
@@ -135,7 +134,7 @@ class TestKernels:
             for _ in range(20):
                 m = self._random(rng, n)
                 kron_form = sum(np.kron(eye, e[None, :]) @ m @ np.kron(eye, e[:, None]) for e in I2)
-                assert np.max(np.abs(_trace_last(m) - kron_form)) <= 1e-15
+                assert np.max(np.abs(_partial_trace(m, n // 2, 2, 1) - kron_form)) <= 1e-15
 
 
 def project_psd(m):
@@ -244,6 +243,11 @@ class TestExtensionProblem:
         m = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(NotPSD):
             ExtensionProblem(target=m)
+
+    def test_psd_error_names_its_numbers(self):
+        m = np.diag([0.5 + 2e-3, 0.5, 0.0, -2e-3]).astype(complex)
+        with pytest.raises(NotPSD, match=r"minimum eigenvalue -0\.002 is below -tol = -0\.001$"):
+            ExtensionProblem(target=m, tol=1e-3)
 
 
 class TestOracle:
