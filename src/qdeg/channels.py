@@ -515,14 +515,16 @@ def amplitude_damping(alpha: float) -> KrausSet:
     return rank2(alpha, 0.0)
 
 
-def unital_spectrum(lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+def unital_spectrum(lam, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Ascending Choi eigenvalues ``sort(bell_mu(lam)) / 2`` of the unital
-    channel with contractions lam, behind the CP gate (:func:`rank_and_cp`).
+    channel with contractions lam and its Choi rank, behind the CP gate
+    (:func:`rank_and_cp`).
     """
     nu = np.sort(bell_mu(lam)) / 2.0
-    if not rank_and_cp(nu, tol)[1]:
+    rank, cp = rank_and_cp(nu, tol)
+    if not cp:
         raise not_a_channel(nu[0])
-    return nu
+    return nu, int(rank)
 
 
 def unital(lam) -> BlochParams:

@@ -134,7 +134,9 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
     rank, cp = rank_and_cp(eigs, tol)
     phi_i = linalg._partial_trace(c, 2, 2, traced=0)
     tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
-    anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(linalg.clamped_det(eigs, tol))
+    # det C is zero below rank 4; at rank 4 every eigenvalue is above tol * tr(C) > 0
+    det = np.where(rank == 4, np.prod(eigs, axis=-1), 0.0)
+    anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(det)
     # rank 1 is unitary (degradable), rank >= 3 is not degradable; at rank 2
     # the complement's margin follows from the spectrum (see degradable_test)
     deg_rank2 = eigs[..., 3] ** 2 + eigs[..., 2] ** 2 - tr_phi2
@@ -158,8 +160,9 @@ def cp_margins(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Margins:
 def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """General antidegradability test on the Choi spectrum.
 
-    margin = tr(Phi(I)^2) - [tr(C^2) - 4 sqrt(det C)], with eigenvalues
-    within ``tol`` of zero treated as exact zeros inside the determinant.
+    margin = tr(Phi(I)^2) - [tr(C^2) - 4 sqrt(det C)], where ``det C`` is
+    zero below Choi rank 4 (:func:`~qdeg.channels.rank_and_cp`, the rank
+    that :func:`classify` reports) and the product of the spectrum at rank 4.
     """
     return Verdict.from_margin(cp_margins(c, tol).anti, tol)
 
@@ -247,10 +250,12 @@ def unital_antidegradable(lam, tol: float = DEFAULT_TOL) -> Verdict:
     """Antidegradability of a unital channel from its Bell weights.
 
     With nu = mu/2 the Bell-basis Choi eigenvalues, behind the CP gate,
-    margin = 2 - [sum(nu^2) - 4 sqrt(prod(nu))].
+    margin = 2 - [sum(nu^2) - 4 sqrt(prod(nu))], where the product counts
+    only at Choi rank 4, as in :func:`verdict_kernel`.
     """
-    nu = unital_spectrum(lam, tol)
-    margin = 2.0 - float(np.sum(nu * nu)) + 4.0 * math.sqrt(linalg.clamped_det(nu, tol))
+    nu, rank = unital_spectrum(lam, tol)
+    det = float(np.prod(nu)) if rank == 4 else 0.0
+    margin = 2.0 - float(np.sum(nu * nu)) + 4.0 * math.sqrt(det)
     return Verdict.from_margin(margin, tol)
 
 

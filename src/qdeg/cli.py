@@ -243,8 +243,8 @@ def cmd_complement(args) -> int:
 def cmd_oracle(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
     c = ch.to_choi(channel)
-    analytic = antidegradable_test(c, tol=args.tol)
-    result = se.oracle_extendible(c, tol=args.oracle_tol, max_iter=args.max_iter)
+    analytic = antidegradable_test(c, tol=args.tol)  # the CP gate, at --tol
+    result = se.barrier_feasibility(se.ExtensionProblem(c.matrix / 2.0, args.oracle_tol, args.max_iter))
     doc = {
         "oracle": {
             "status": result.status.value,

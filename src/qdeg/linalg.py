@@ -23,13 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDimension, NotHermitian, NotPSD, NumericalFailure
+from .errors import InvalidDimension, NotHermitian, NumericalFailure
 
 #: Relative Hermiticity tolerance, times max(1, ||m||_F).
 HERMITICITY_RTOL = 1e-10
-
-#: Default absolute eigenvalue tolerance for PSD tests and determinant clamping.
-PSD_TOL = 1e-9
 
 
 def as_matrix(a, stacked: bool = False) -> np.ndarray:
@@ -203,32 +200,3 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
     return _eigvalsh(require_hermitian(as_matrix(m)))
 
-
-def psd_check(m, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol * max(1, ||m||_F)."""
-    m = as_matrix(m)
-    eigs = hermitian_eigenvalues(m)
-    return bool(eigs[0] >= -tol * max(1.0, frobenius(m)))
-
-
-def clamped_det(eigs, tol: float = PSD_TOL):
-    """Determinant of a PSD matrix from its eigenvalues (last axis).
-
-    Eigenvalues within [-tol, tol] count as exact zeros, so rank-deficient
-    matrices produce an exact zero determinant; negative ones beyond that
-    are clipped to zero. One spectrum gives a float, a stack an array.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    det = np.prod(np.where(np.abs(eigs) <= tol, 0.0, np.clip(eigs, 0.0, None)), axis=-1)
-    return float(det) if det.ndim == 0 else det
-
-
-def det_psd(m, tol: float = PSD_TOL) -> float:
-    """Determinant of a Hermitian PSD matrix with small-eigenvalue clamping.
-
-    Raises :class:`NotPSD` when an eigenvalue lies below ``-tol``.
-    """
-    eigs = hermitian_eigenvalues(m)
-    if eigs[0] < -tol:
-        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{tol:.1e}")
-    return clamped_det(eigs, tol)

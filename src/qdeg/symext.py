@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import PAULI_BASIS, PAULIS, ChoiMatrix, I2
+from .channels import PAULI_BASIS, PAULIS, ChoiMatrix, I2, choi_rank
 from .errors import InvalidDimension, NotPSD, NumericalFailure
 
 #: Default residual tolerance for declaring feasibility.
@@ -116,11 +116,20 @@ class ExtensionProblem:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-10:
             raise InvalidDimension(f"target trace must be 1, got {trace!r}")
-        lam_min = float(linalg._eigvalsh(m)[0])
-        if lam_min < -self.tol:
-            raise NotPSD(
-                f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-self.tol!r}"
-            )
+        # The oracle's own gate, kept though oracle_extendible applies the CP
+        # gate first: this class is public, and `qdeg oracle --tol` can pass a
+        # channel the default refuses. Near-singular targets with an eigenvalue
+        # near -tol can take the barrier to its step cap without a proof.
+        # A Cholesky factor of target + tol I accepts; the spectrum decides
+        # the rest, so an oracle call eigendecomposes only the Choi matrix.
+        try:
+            np.linalg.cholesky(m + self.tol * np.eye(4))
+        except np.linalg.LinAlgError:
+            lam_min = float(linalg._eigvalsh(m)[0])
+            if lam_min < -self.tol:
+                raise NotPSD(
+                    f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-self.tol!r}"
+                ) from None
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
 
@@ -301,5 +310,10 @@ def oracle_extendible(
     c: ChoiMatrix, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER
 ) -> OracleResult:
     """Decide symmetric extendibility of a Choi matrix (normalized to c/2)
-    with ``barrier_feasibility``, at every Choi rank."""
+    with ``barrier_feasibility``, at every Choi rank.
+
+    Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
+    (:func:`~qdeg.channels.choi_rank`), as every other entry point does.
+    """
+    choi_rank(c)
     return barrier_feasibility(ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter))

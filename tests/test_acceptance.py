@@ -53,7 +53,6 @@ from qdeg.classify import (
 )
 from qdeg.errors import WrongRank
 from qdeg.linalg import (
-    det_psd,
     hermitian_eigenvalues,
     kron,
     partial_trace,
@@ -99,7 +98,7 @@ def test_criterion_03_exact_boundary_arithmetic():
         c = choi_from_kraus(depolarizing(1 / 3))
         eigs = hermitian_eigenvalues(c.matrix)
         tr_c2 = float(np.sum(eigs * eigs))
-        root_term = 4.0 * math.sqrt(det_psd(c.matrix))
+        root_term = 4.0 * math.sqrt(np.prod(eigs))
         assert abs(tr_c2 - 7 / 3) <= 1e-12
         assert abs(root_term - 1 / 3) <= 1e-12
         assert abs(antidegradable_test(c).margin) <= 1e-12

@@ -221,6 +221,17 @@ class TestUnitalForm:
         with pytest.raises(NotCompletelyPositive):
             unital_antidegradable([1, 1, -1])
 
+    @pytest.mark.parametrize("eps, rank", [(1e-9, 3), (3e-9, 3), (3e-8, 4)])
+    def test_agrees_with_classify_at_the_rank_cutoff(self, eps, rank):
+        # smallest Bell weight eps: Choi eigenvalue eps/2 against tol = 1e-9
+        # and the rank cutoff tol * tr(C) = 2e-9
+        b = BlochParams(t=np.zeros(3), lam=[0.5, 0.3, -0.2 + eps])
+        rep = classify(b)
+        assert rep.choi_rank == rank
+        assert abs(unital_antidegradable(b.lam).margin - rep.antidegradable.margin) <= 1e-12
+        if rank == 3:
+            assert abs(rep.antidegradable.margin - rank3_antidegradable(b).margin) <= 1e-12
+
     def test_agreement_with_general(self):
         rng = np.random.default_rng(4)
         for _ in range(300):

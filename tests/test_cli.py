@@ -300,6 +300,17 @@ class TestOracleCommand:
         assert np.linalg.norm(w - w.conj().T) <= 1e-12
         assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
 
+    def test_target_below_oracle_tol_exits_2(self, tmp_path, capsys):
+        # --tol 1e-3 lets classify accept the channel (Choi eigenvalue -1e-6);
+        # the normalized target's -5e-7 is still below -(--oracle-tol)
+        doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1.000002, 1.000002, 1.000002]}
+        path = write_spec(tmp_path, doc)
+        assert run(capsys, ["classify", path, "--tol", "1e-3"])[0] == 0
+        code, out, err = run(capsys, ["oracle", path, "--tol", "1e-3"])
+        assert code == 2 and out == ""
+        assert err == ("error: not a channel: target is not PSD: minimum eigenvalue "
+                       "-5.000000000823648e-07 is below -tol = -1e-07\n")
+
 
 class TestSweepCommand:
     def test_rank2_sign_pattern(self, tmp_path, capsys):

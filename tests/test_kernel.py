@@ -129,6 +129,20 @@ class TestKernelAgainstReference:
                 assert abs(getattr(one, field) - getattr(stack, field)[i]) <= MARGIN_TOL
             assert one.rank == stack.rank[i] and one.cp == stack.cp[i]
 
+    def test_determinant_term_follows_the_rank(self):
+        # smallest Choi eigenvalues 1.5e-9 (below the rank cutoff tol * tr(C)
+        # = 2e-9, above tol) and 1.5e-8: the det C term is zero at rank 3 only
+        lam = np.array([[0.5, 0.3, -0.2 + 3e-9], [0.5, 0.3, -0.2 + 3e-8]])
+        c = validate_choi(bloch_to_choi(np.zeros_like(lam), lam))
+        m = verdict_kernel(c)
+        assert m.rank.tolist() == [3, 4]
+        e = np.linalg.eigvalsh(c)
+        phi = np.einsum("nijik->njk", c.reshape(2, 2, 2, 2, 2))
+        without_det = np.einsum("nij,nji->n", phi, phi).real - np.sum(e * e, axis=-1)
+        assert abs(m.anti[0] - without_det[0]) <= MARGIN_TOL
+        assert abs(m.anti[1] - without_det[1] - 4.0 * math.sqrt(np.prod(e[1]))) <= MARGIN_TOL
+        assert 4.0 * math.sqrt(np.prod(e[1])) > 1e-4
+
     def test_cp_mask_marks_rows_outside_the_cp_set(self):
         lam = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, -1.0], [0.2, -0.3, 0.1]])
         m = verdict_kernel(validate_choi(bloch_to_choi(np.zeros_like(lam), lam)))

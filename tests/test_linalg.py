@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import random_density, random_hermitian, random_unitary
-from qdeg.channels import BlochParams, choi_from_bloch
-from qdeg.errors import InvalidDimension, NotHermitian, NotPSD
+from qdeg.channels import BlochParams, choi_from_bloch, rank_and_cp
+from qdeg.errors import InvalidDimension, NotHermitian
 from qdeg.linalg import (
-    clamped_det,
-    det_psd,
     hermitian_eigen,
     hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
-    psd_check,
     unvec,
     vec,
 )
@@ -176,34 +173,9 @@ class TestHermitianEigen:
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-class TestDetPsd:
-    def test_identity(self):
-        assert det_psd(np.eye(4)) == 1.0
-
-    def test_rank_deficient_choi(self):
-        c = np.outer(vec(I2), vec(I2).conj())
-        assert det_psd(c) == 0.0
-
-    def test_depolarizing_third(self):
-        assert abs(det_psd(DEP_THIRD) - 1 / 144) <= 1e-12
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPSD):
-            det_psd(np.diag([1.0, -1.0]))
-
-    def test_clamped_det_zeroes_and_clips(self):
-        assert clamped_det([2.0, 3.0, 5e-10]) == 0.0
-        assert clamped_det([2.0, 3.0, -1e-3]) == 0.0
-        assert clamped_det([2.0, 3.0, -1e-3], tol=1e-2) == 0.0
-        assert clamped_det([2.0, 3.0, 0.5]) == 3.0
-
-    def test_matches_eigenvalue_product(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = g @ g.conj().T + 0.1 * np.eye(4)
-            ref = float(np.prod(hermitian_eigenvalues(m)))
-            assert abs(det_psd(m) - ref) <= 1e-10 * abs(ref)
+def psd_check(m) -> bool:
+    """The CP gate of rank_and_cp, the PSD test of every channel entry point."""
+    return bool(rank_and_cp(hermitian_eigenvalues(m))[1])
 
 
 class TestPsdCheck:

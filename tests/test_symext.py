@@ -8,8 +8,10 @@ import pytest
 
 from helpers import random_channel, random_density, random_hermitian
 from qdeg.channels import (
+    BlochParams,
     ChoiMatrix,
     amplitude_damping,
+    choi_from_bloch,
     choi_from_kraus,
     completely_depolarizing,
     depolarizing,
@@ -17,7 +19,7 @@ from qdeg.channels import (
     rank2,
 )
 from qdeg.classify import antidegradable_test
-from qdeg.errors import InvalidDimension, NotPSD
+from qdeg.errors import InvalidDimension, NotAChannel, NotPSD
 from qdeg.linalg import _partial_trace, partial_trace
 from qdeg.symext import (
     SWAP_YYP,
@@ -262,6 +264,13 @@ class TestOracle:
         assert r.status is OracleStatus.INFEASIBLE
         assert r.residual > 1e-2
 
+    def test_rejects_a_map_outside_the_cp_gate(self):
+        # Choi eigenvalue -1e-8: inside the target's -tol, outside the CP gate
+        c = choi_from_bloch(BlochParams(t=np.zeros(3), lam=[1 + 2e-8] * 3))
+        ExtensionProblem(target=c.matrix / 2)
+        with pytest.raises(NotAChannel):
+            oracle_extendible(c)
+
     def test_depolarizing_half_feasible(self):
         c = choi_from_kraus(depolarizing(0.5))
         r = oracle_extendible(c)
@@ -397,8 +406,9 @@ class TestBarrier:
 
     @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
     def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
-        # ExtensionProblem checks the target's spectrum; the barrier
-        # decomposes only 8x8 matrices
+        # the CP gate takes the Choi spectrum, ExtensionProblem's PSD check
+        # needs none for a PSD target, and the barrier decomposes only 8x8
+        # matrices
         c = choi_from_kraus(kraus)
         calls = []
         for name in ("eigh", "eigvalsh"):
