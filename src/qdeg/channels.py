@@ -215,6 +215,12 @@ class Rank2Params:
     alpha: float
     beta: float
 
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
+
 
 def bell_mu(lam) -> np.ndarray:
     """The four even-sign combinations 1 +- l1 +- l2 +- l3.

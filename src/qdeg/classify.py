@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -34,10 +34,8 @@ from . import linalg
 from .channels import (
     DEFAULT_TOL,
     BlochParams,
-    ChoiMatrix,
     Rank2Params,
     choi_from_bloch,
-    choi_from_kraus,
     choi_rank,
     choi_to_transfer,
     depolarizing,
@@ -49,6 +47,11 @@ from .channels import (
     I2,
 )
 from .errors import NotApplicable, NumericalFailure, WrongRank
+
+
+# Each verdict: its Margins field and its report name, in output order. The
+# CLI columns "<field>_margin" and "<field>_state" read that field.
+VERDICTS = {"anti": "antidegradable", "deg": "degradable", "eb": "entanglement_breaking"}
 
 
 class VerdictState(str, enum.Enum):
@@ -80,6 +83,9 @@ class Verdict:
         """True for Yes or Boundary."""
         return self.state is not VerdictState.NO
 
+    def to_dict(self) -> dict:
+        return {"state": self.state.value, "margin": self.margin}
+
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -92,24 +98,8 @@ class ClassificationReport:
     cp: bool
 
     def to_dict(self) -> dict:
-        return {
-            "antidegradable": {
-                "state": self.antidegradable.state.value,
-                "margin": self.antidegradable.margin,
-            },
-            "degradable": {
-                "state": self.degradable.state.value,
-                "margin": self.degradable.margin,
-            },
-            "entanglement_breaking": {
-                "state": self.entanglement_breaking.state.value,
-                "margin": self.entanglement_breaking.margin,
-            },
-            "unital": self.unital,
-            "self_complementary": self.self_complementary,
-            "choi_rank": self.choi_rank,
-            "cp": self.cp,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_dict() if isinstance(v, Verdict) else v for k, v in doc.items()}
 
 
 class Margins(NamedTuple):
@@ -146,25 +136,28 @@ def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) ->
     return Margins(anti, deg, eb, rank, cp, eigs[..., 0])
 
 
-def cp_margins(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Margins:
-    """The kernel on one Choi matrix and its cached spectrum, behind the CP gate.
+def cp_margins(channel, tol: float = DEFAULT_TOL) -> Margins:
+    """The kernel on one channel, in any representation, and the cached
+    spectrum of its Choi matrix, behind the CP gate.
 
     Raises :class:`~qdeg.errors.NotAChannel` with the offending eigenvalue.
     """
+    c = to_choi(channel)
     m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
     if not m.cp:
         raise not_a_channel(m.min_eig, c.matrix)
     return m
 
 
-def antidegradable_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
-    """General antidegradability test on the Choi spectrum.
+def antidegradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
+    """General antidegradability test on the Choi spectrum of a channel in
+    any representation.
 
     margin = tr(Phi(I)^2) - [tr(C^2) - 4 sqrt(det C)], where ``det C`` is
     zero below Choi rank 4 (:func:`~qdeg.channels.rank_and_cp`, the rank
     that :func:`classify` reports) and the product of the spectrum at rank 4.
     """
-    return Verdict.from_margin(cp_margins(c, tol).anti, tol)
+    return Verdict.from_margin(cp_margins(channel, tol).anti, tol)
 
 
 def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
@@ -190,7 +183,7 @@ def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
     eigenvalues. No complement is built, so any Kraus set of the channel,
     redundant or minimal, gives the same answer.
     """
-    return Verdict.from_margin(cp_margins(to_choi(channel), tol).deg, tol)
+    return Verdict.from_margin(cp_margins(channel, tol).deg, tol)
 
 
 def rank2_antidegradable(p: Rank2Params, tol: float = DEFAULT_TOL) -> Verdict:
@@ -239,10 +232,13 @@ def rank4_antidegradable(b: BlochParams, tol: float = DEFAULT_TOL) -> Verdict:
     the branch D >= 0 (squaring is one-directional); for D < 0 the channel
     is antidegradable outright. The margin is therefore reported in the
     unsquared form  -D + sqrt(S), which matches the general test's margin.
+
+    Behind the CP gate; S counts only at Choi rank 4 (:func:`choi_rank`),
+    as in :func:`verdict_kernel`, so a singular map gets the rank-3 form -D.
     """
-    s = _det16_poly(b.t, b.lam)
+    rank = choi_rank(choi_from_bloch(b), tol)
     d = float(b.lam @ b.lam) - float(b.t @ b.t) - 1.0
-    margin = -d + math.sqrt(max(s, 0.0))
+    margin = -d + (math.sqrt(max(_det16_poly(b.t, b.lam), 0.0)) if rank == 4 else 0.0)
     return Verdict.from_margin(margin, tol)
 
 
@@ -259,12 +255,12 @@ def unital_antidegradable(lam, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict.from_margin(margin, tol)
 
 
-def entanglement_breaking_test(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> Verdict:
-    """PPT criterion, exact for qubit Choi matrices.
+def entanglement_breaking_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
+    """PPT criterion, exact for qubit Choi matrices; any representation.
 
     margin = minimum eigenvalue of the partial transpose of C.
     """
-    return Verdict.from_margin(cp_margins(c, tol).eb, tol)
+    return Verdict.from_margin(cp_margins(channel, tol).eb, tol)
 
 
 def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
@@ -324,10 +320,10 @@ def depolarizing_thresholds() -> tuple[float, float]:
     depolarizing family, located by bisection of the raw margins."""
 
     def anti_margin(p: float) -> float:
-        return antidegradable_test(choi_from_kraus(depolarizing(p))).margin
+        return antidegradable_test(depolarizing(p)).margin
 
     def eb_margin(p: float) -> float:
-        return entanglement_breaking_test(choi_from_kraus(depolarizing(p))).margin
+        return entanglement_breaking_test(depolarizing(p)).margin
 
     return _bisect(anti_margin, 0.0, 1.0), _bisect(eb_margin, 0.0, 1.0)
 
@@ -348,9 +344,7 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     rank = int(m.rank)
     unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
     return ClassificationReport(
-        antidegradable=Verdict.from_margin(m.anti, tol),
-        degradable=Verdict.from_margin(m.deg, tol),
-        entanglement_breaking=Verdict.from_margin(m.eb, tol),
+        **{name: Verdict.from_margin(getattr(m, f), tol) for f, name in VERDICTS.items()},
         unital=bool(unital),
         self_complementary=self_complementary_test(c, tol) if rank == 2 else None,
         choi_rank=rank,

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import channels as ch
 from . import symext as se
-from .classify import antidegradable_test, classify, verdict_kernel, verdict_state
+from .classify import VERDICTS, antidegradable_test, classify, verdict_kernel, verdict_state
 from .errors import InvalidParameter, NotCompletelyPositive, NumericalFailure, QdegError
 
 EXIT_OK = 0
@@ -129,6 +129,8 @@ def parse_channel_spec(doc: dict):
     if kind == "bloch":
         t = _real_vector(doc.get("t"), "t")
         if "T" in doc:
+            if "lambda" in doc:
+                raise SpecError("bloch spec takes 'lambda' or 'T', not both")
             if not isinstance(doc["T"], list) or len(doc["T"]) != 3:
                 raise SpecError("T must be a 3x3 nested list")
             T = np.array([_real_vector(row, "T row") for row in doc["T"]])
@@ -192,16 +194,14 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_classify(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
-    report = classify(channel, tol=args.tol)
+    doc = classify(channel, tol=args.tol).to_dict()
     if args.format == "csv":
-        a, d, e = report.antidegradable, report.degradable, report.entanglement_breaking
-        cells = {"anti_state": a.state.value, "anti_margin": a.margin, "deg_state": d.state.value,
-                 "deg_margin": d.margin, "eb_state": e.state.value, "eb_margin": e.margin,
-                 "unital": report.unital, "self_complementary": report.self_complementary,
-                 "choi_rank": report.choi_rank, "cp": report.cp}
+        # "<field>_state" and "<field>_margin" cells, then the scalar entries
+        cells = {f"{f}_{k}": v for f, name in VERDICTS.items() for k, v in doc.pop(name).items()}
+        cells.update(doc)
         _emit(_csv(list(cells), [cells.values()]), args.out)
     else:
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -251,7 +251,7 @@ def cmd_oracle(args) -> int:
             "residual": result.residual,
             "iterations": result.iterations,
         },
-        "analytic": {"state": analytic.state.value, "margin": analytic.margin},
+        "analytic": analytic.to_dict(),
     }
     proof = {"witness": result.witness, "certificate": result.certificate}
     proof = {k: _matrix_out(m) for k, m in proof.items() if m is not None}
@@ -263,14 +263,7 @@ def cmd_oracle(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-_SWEEP_COLUMNS = (
-    "anti_margin",
-    "deg_margin",
-    "eb_margin",
-    "anti_state",
-    "deg_state",
-    "eb_state",
-)
+_SWEEP_COLUMNS = tuple(f"{f}_{k}" for k in ("margin", "state") for f in VERDICTS)
 
 
 def _axis(doc, name: str) -> np.ndarray:
@@ -331,7 +324,7 @@ def cmd_sweep(args) -> int:
             f"(largest minimum Choi eigenvalue {m.min_eig.max():.3e})"
         )
     # grid points outside the CP set are left out; an output column
-    # "<field>_margin" or "<field>_state" reads the Margins field <field>
+    # "<field>_margin" or "<field>_state" reads the Margins field <field> (VERDICTS)
     built = {}
     for name in dict.fromkeys(outputs):
         margins = getattr(m, name.partition("_")[0])[m.cp].tolist()

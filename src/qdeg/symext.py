@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import PAULI_BASIS, PAULIS, ChoiMatrix, I2, choi_rank
+from .channels import PAULI_BASIS, PAULIS, I2, choi_rank, to_choi
 from .errors import InvalidDimension, NotPSD, NumericalFailure
 
 #: Default residual tolerance for declaring feasibility.
@@ -306,14 +306,14 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, problem.max_iter)
 
 
-def oracle_extendible(
-    c: ChoiMatrix, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER
-) -> OracleResult:
-    """Decide symmetric extendibility of a Choi matrix (normalized to c/2)
-    with ``barrier_feasibility``, at every Choi rank.
+def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER) -> OracleResult:
+    """Decide symmetric extendibility of a channel's Choi matrix c, in any
+    representation (normalized to c/2), with ``barrier_feasibility``, at
+    every Choi rank.
 
     Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
     (:func:`~qdeg.channels.choi_rank`), as every other entry point does.
     """
+    c = to_choi(channel)
     choi_rank(c)
     return barrier_feasibility(ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter))

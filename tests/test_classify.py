@@ -47,6 +47,7 @@ from qdeg.classify import (
 )
 from qdeg.errors import InvalidParameter, NotAChannel, NotApplicable, NotCompletelyPositive, WrongRank
 from qdeg.linalg import kron
+from qdeg.symext import oracle_extendible
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
 
@@ -119,6 +120,12 @@ class TestRank2ClosedForms:
     def test_quarter_pi_boundary(self):
         for b in (0.0, 0.3, 2.0):
             assert rank2_degradable(Rank2Params(math.pi / 4, b)).state is BOUNDARY
+
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.3), (0.3, math.inf), (-math.inf, 0.3)])
+    def test_non_finite_angles_rejected(self, alpha, beta):
+        # NaN once gave margin nan, and inf a bare ValueError from math.cos
+        with pytest.raises(InvalidParameter, match="finite"):
+            Rank2Params(alpha, beta)
 
     def test_small_angles_degradable(self):
         v = rank2_degradable(Rank2Params(0.3, 0.2))
@@ -194,6 +201,15 @@ class TestRank4:
         v = rank4_antidegradable(BlochParams(t=[0, 0, 0], lam=[0.9, 0.9, 0.9]))
         assert v.state is NO
 
+    def test_rejects_a_map_outside_the_cp_gate(self):
+        # minimum Choi eigenvalue -0.25: once read "boundary" with margin 0
+        b = BlochParams(t=[0, 0, 0], lam=[1.5, 0, 0])
+        with pytest.raises(NotAChannel) as want:
+            classify(b)
+        with pytest.raises(NotAChannel) as got:
+            rank4_antidegradable(b)
+        assert str(got.value) == str(want.value)
+
     def test_agreement_with_general(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -224,11 +240,13 @@ class TestUnitalForm:
     @pytest.mark.parametrize("eps, rank", [(1e-9, 3), (3e-9, 3), (3e-8, 4)])
     def test_agrees_with_classify_at_the_rank_cutoff(self, eps, rank):
         # smallest Bell weight eps: Choi eigenvalue eps/2 against tol = 1e-9
-        # and the rank cutoff tol * tr(C) = 2e-9
+        # and the rank cutoff tol * tr(C) = 2e-9; the unital and the Bloch
+        # closed forms count the determinant term only at the reported rank 4
         b = BlochParams(t=np.zeros(3), lam=[0.5, 0.3, -0.2 + eps])
         rep = classify(b)
         assert rep.choi_rank == rank
         assert abs(unital_antidegradable(b.lam).margin - rep.antidegradable.margin) <= 1e-12
+        assert abs(rank4_antidegradable(b).margin - rep.antidegradable.margin) <= 1e-12
         if rank == 3:
             assert abs(rep.antidegradable.margin - rank3_antidegradable(b).margin) <= 1e-12
 
@@ -482,6 +500,13 @@ class TestRepresentationInvariance:
         rng = np.random.default_rng(13)
         k = rank2(alpha, beta)
         c = choi_from_kraus(k)
+        ref, status = classify(c), oracle_extendible(c).status
         for rep in (k, remix(k, 2, rng), remix(k, 3, rng), c, bloch_from_choi(c), transfer_from_choi(c)):
             assert classify(rep).self_complementary is expected, rep
             assert self_complementary_test(rep, 1e-10) is expected, rep
+            # every verdict takes any representation of the channel
+            for verdict, want in ((antidegradable_test, ref.antidegradable), (degradable_test, ref.degradable),
+                                  (entanglement_breaking_test, ref.entanglement_breaking)):
+                got = verdict(rep)
+                assert got.state is want.state and abs(got.margin - want.margin) <= 1e-10, (verdict, rep)
+            assert oracle_extendible(rep).status is status, rep

@@ -27,6 +27,17 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+# `qdeg classify` documents and their CSV rows
+CLASSIFY_ROWS = pytest.mark.parametrize("doc, row", [
+    ({"kind": "named", "name": "rank2", "alpha": math.pi / 4, "beta": 0.0},
+     "boundary,0.0,boundary,0.0,no,-0.5000000000000001,false,true,2,true"),
+    ({"kind": "named", "name": "rank2", "alpha": 0.3, "beta": 0.5},
+     "no,-0.8918614717015974,yes,0.8918614717015974,no,-0.682818960388909,false,false,2,true"),
+    ({"kind": "named", "name": "depolarizing", "p": 0.4},
+     "yes,0.3433202097703334,no,-2.0,no,-0.40000000000000013,true,na,4,true"),
+], ids=["self-complementary", "not-self-complementary", "self-complementary-na"])
+
+
 def to_complex(pair):
     return complex(pair[0], pair[1])
 
@@ -145,14 +156,7 @@ class TestClassifyCommand:
         assert lines[0].startswith("anti_state,anti_margin")
         assert lines[1].startswith("yes,")
 
-    @pytest.mark.parametrize("doc, row", [
-        ({"kind": "named", "name": "rank2", "alpha": math.pi / 4, "beta": 0.0},
-         "boundary,0.0,boundary,0.0,no,-0.5000000000000001,false,true,2,true"),
-        ({"kind": "named", "name": "rank2", "alpha": 0.3, "beta": 0.5},
-         "no,-0.8918614717015974,yes,0.8918614717015974,no,-0.682818960388909,false,false,2,true"),
-        ({"kind": "named", "name": "depolarizing", "p": 0.4},
-         "yes,0.3433202097703334,no,-2.0,no,-0.40000000000000013,true,na,4,true"),
-    ], ids=["self-complementary", "not-self-complementary", "self-complementary-na"])
+    @CLASSIFY_ROWS
     def test_csv_bytes(self, tmp_path, capsys, doc, row):
         code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc), "--format", "csv"])
         assert code == 0 and err == ""
@@ -160,6 +164,41 @@ class TestClassifyCommand:
             "anti_state,anti_margin,deg_state,deg_margin,eb_state,eb_margin,"
             "unital,self_complementary,choi_rank,cp\n" + row + "\n"
         )
+
+    @CLASSIFY_ROWS
+    def test_json_bytes(self, tmp_path, capsys, doc, row):
+        a_state, a_margin, d_state, d_margin, e_state, e_margin, unital, sc, rank, cp = row.split(",")
+        code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert code == 0 and err == ""
+        assert out == (
+            "{\n"
+            '  "antidegradable": {\n'
+            f'    "state": "{a_state}",\n'
+            f'    "margin": {a_margin}\n'
+            "  },\n"
+            '  "degradable": {\n'
+            f'    "state": "{d_state}",\n'
+            f'    "margin": {d_margin}\n'
+            "  },\n"
+            '  "entanglement_breaking": {\n'
+            f'    "state": "{e_state}",\n'
+            f'    "margin": {e_margin}\n'
+            "  },\n"
+            f'  "unital": {unital},\n'
+            f'  "self_complementary": {"null" if sc == "na" else sc},\n'
+            f'  "choi_rank": {rank},\n'
+            f'  "cp": {cp}\n'
+            "}\n"
+        )
+
+    def test_bloch_with_lambda_and_transfer_exits_1(self, tmp_path, capsys):
+        # the T channel was classified and lambda dropped without a word
+        doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [0.5, 0.5, 0.5],
+               "T": [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]]}
+        code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'lambda'" in err and "'T'" in err
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "rank2", "alpha": 0.4, "beta": 1.1})
@@ -259,6 +298,7 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert doc["oracle"]["status"] == "feasible"
         assert doc["analytic"]["state"] == "yes"
+        assert list(doc["analytic"]) == ["state", "margin"]
 
     def test_identity(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "named", "name": "identity"})
