@@ -35,13 +35,42 @@ the iterates centre. Both answers carry a certificate:
   point of A exists. Near the path it passes once t + 8 mu < 0.
 - INCONCLUSIVE: neither proof within the step cap.
 
-The method decides targets of every rank. A rank-deficient target has no
-positive-definite extension, so the best t is at most 0. When the target
-is extendible the best t is 0, approached from below, and the PSD
-projection branch above accepts the iterate. When it is not, the best t
-is strictly negative (tr X = 1 on A keeps the points with lambda_min
-near 0 in a compact set, whose limit would be a PSD point of A), and the
-certificate applies unchanged.
+The method decides targets of every rank, but rank-deficient ones slowly
+in the full space. For every u in the kernel of the target,
+W_u = sym(u u^dag (x) I) is PSD, lies in L⊥ and has
+<W_u, X> = u^dag target u = 0 on A: it exposes a face. Every PSD point of
+A is orthogonal to every W_u, so its range lies in
+V = ker(sum_u W_u) = (R (x) C^2) ∩ swap(R (x) C^2), R the range of the
+target. Below rank 4 no point of A is positive definite, so Slater's
+condition fails: the best t is 0 when the target is extendible, reached
+only from below (24-34 Newton steps at ranks 2 and 3) through the PSD
+projection branch above. When it is not, the best t is strictly negative
+(tr X = 1 on A keeps the points with lambda_min near 0 in a compact set,
+whose limit would be a PSD point of A), and the certificate applies.
+
+Facial reduction (J. M. Borwein and H. Wolkowicz, J. Austral. Math.
+Soc. 30, 1981) removes that degeneracy at ranks 2 and 3. V is
+swap-invariant, so it splits into a swap-symmetric and an antisymmetric
+part, and every swap-invariant X supported on V is Q Y Q^dag, with Q an
+orthonormal basis of V adapted to the split and Y block-diagonal. On the
+face, A is the set of such Y with tr_Y'(Q Y Q^dag) = target, and the same
+barrier runs on Y (``qdeg._barrier``). For a generic target dim V = 2 rank - 2:
+at rank 2 that set is one point, a witness when it is PSD, after 0 Newton
+steps; at rank 3 the barrier runs on 4x4 matrices Y. A face witness is
+lifted to 8x8 and accepted by the residual rule above. The face is ruled
+out when its one point is not PSD, when the certificate above, built on
+the face, proves that it holds no PSD point, or when the centred bound
+t + dim(V) mu falls below 0; the full space then decides as at ranks 1
+and 4, where V is {0} or all of the symmetric subspace. At rank 2 the full
+space's start point is checked first, since it proves most infeasible
+rank-2 targets at once.
+
+R is spanned by the eigenvectors above the Choi-rank cutoff of
+``channels.rank_and_cp``. So a target whose smallest eigenvalue lies in
+[-tol, 0) is searched on the face of its PSD part, and answered FEASIBLE
+when that face holds an extension whose residual against the given target
+is at most tol, although sym(u u^dag (x) I) proves that the target itself
+has none.
 
 The analytic Choi-spectrum inequality is the authority; this oracle
 cross-validates it with a verifiable certificate in both directions.
@@ -59,8 +88,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import PAULI_BASIS, PAULIS, I2, choi_rank, to_choi
-from .errors import InvalidDimension, NotPSD, NumericalFailure
+from .channels import PAULI_BASIS, PAULIS, I2, choi_rank, rank_and_cp, to_choi
+from .errors import InvalidDimension, NotPSD
 
 #: Default residual tolerance for declaring feasibility.
 ORACLE_TOL = 1e-7
@@ -90,6 +119,7 @@ _SWAP4 = np.array(
 #: Swap of the Y and Y' factors of X (x) Y (x) Y'.
 SWAP_YYP = np.kron(np.eye(2, dtype=np.complex128), _SWAP4)
 
+_EYE4 = np.eye(4)
 _EYE8 = np.eye(8, dtype=np.complex128)
 _I2_AXES = I2.reshape(1, 2, 1, 2)
 
@@ -118,12 +148,14 @@ class ExtensionProblem:
             raise InvalidDimension(f"target trace must be 1, got {trace!r}")
         # The oracle's own gate, kept though oracle_extendible applies the CP
         # gate first: this class is public, and `qdeg oracle --tol` can pass a
-        # channel the default refuses. Near-singular targets with an eigenvalue
-        # near -tol can take the barrier to its step cap without a proof.
+        # channel the default refuses. Below -tol no PSD extension has its
+        # marginal within tol of the target, so no witness can pass; a target
+        # with eigenvalues in [-tol, 0) is searched on the face of its PSD
+        # part (see the module docstring).
         # A Cholesky factor of target + tol I accepts; the spectrum decides
         # the rest, so an oracle call eigendecomposes only the Choi matrix.
         try:
-            np.linalg.cholesky(m + self.tol * np.eye(4))
+            np.linalg.cholesky(m + self.tol * _EYE4)
         except np.linalg.LinAlgError:
             lam_min = float(linalg._eigvalsh(m)[0])
             if lam_min < -self.tol:
@@ -139,8 +171,9 @@ class OracleResult:
     status: OracleStatus
     witness: np.ndarray | None
     residual: float
-    #: Newton steps of the barrier method, 0 when the start point decides;
-    #: INCONCLUSIVE only at ``max_iter``.
+    #: Newton steps of the barrier method, on the target's face and in the
+    #: full space together, 0 when a start point decides; INCONCLUSIVE only
+    #: at ``max_iter``.
     iterations: int
     #: For INFEASIBLE: the 8x8 PSD dual certificate W (see the module docstring).
     certificate: np.ndarray | None = None
@@ -234,86 +267,30 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     - INFEASIBLE: W = P_{L^perp}(mu S^-1) + c I, with S = X - t I and c
       lifting W to PSD, once <W, x0> < -CERT_RTOL * max(1, ||W||_F).
 
-    A run with neither proof ends INCONCLUSIVE at ``problem.max_iter``
-    steps, with the residual of the last iterate's PSD projection.
+    At Choi rank 2 or 3 the same method first runs on the target's face
+    (see the module docstring), whose steps count in ``iterations``; a
+    witness found there is lifted to 8x8 and accepted by the same residual
+    rule. A run with neither proof ends INCONCLUSIVE at
+    ``problem.max_iter`` steps, with the residual of the last iterate's
+    PSD projection.
     """
-    target = problem.target
-    x0 = _project_affine(_tensor_eye(target / 2.0), target)
-    x0 = (x0 + linalg.dagger(x0)) / 2.0
-    x = x0
-    w, v = linalg._eigh(x)
-    # S = X - t I starts BARRIER_START_GAP above singular; mu zeroes the t-gradient
-    t = float(w[0]) - BARRIER_START_GAP
-    w = w - t
-    mu = 1.0 / float(np.sum(1.0 / w))
-    basis, directions = _extension_directions()
-    n = len(directions)
-    flat = directions.view(np.float64).reshape(n, 128)
-    for it in range(problem.max_iter + 1):
-        lam_x = w + t  # the spectrum of X
-        # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
-        # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
-        if lam_x[0] >= -2.0 * problem.tol:
-            y = x if lam_x[0] > 0.0 else _psd_part(lam_x, v)
-            residual = _residual(y, target)
-            if residual <= problem.tol:
-                return OracleResult(OracleStatus.FEASIBLE, y, residual, it)
-        s_inv = (v / w) @ linalg.dagger(v)
-        coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = B_1..B_24, -I
-        # target (x) I/2 lies in L^perp, so x0 is orthogonal to L and
-        # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
-        if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
-            dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(8, 8))
-            dual = (dual + linalg.dagger(dual)) / 2.0
-            # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
-            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * _EYE8
-            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, _norm(cert)):
-                residual = _residual(_psd_part(lam_x, v), target)
-                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
-        if it == problem.max_iter:
-            break
-        # Newton step on f = -t / mu - log det S over (z, t), S moving along
-        # A_k = B_1..B_24, -I: grad_k = -tr(S^-1 A_k) (-1/mu more for t) and
-        # hess_kl = tr(F_k F_l) with F_k = A_k S^-1
-        f = (directions.reshape(n * 8, 8) @ s_inv).reshape(n, 8, 8)
-        hess = (f.reshape(n, 64) @ f.transpose(0, 2, 1).reshape(n, 64).T).real
-        grad = -coords
-        grad[-1] -= 1.0 / mu
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"Newton system failed: {exc}") from exc
-        decrement = float(np.sqrt(max(0.0, -grad @ step)))
-        if not np.isfinite(decrement):
-            raise NumericalFailure("Newton step is not finite")
-        # a step inside the Dikin ellipsoid (decrement < 1) keeps S positive
-        # definite; the halving only absorbs rounding
-        alpha = 1.0 if decrement < BARRIER_CENTRED else 1.0 / (1.0 + decrement)
-        dx = (step[:-1] @ basis).view(np.complex128).reshape(8, 8)
-        dx = (dx + linalg.dagger(dx)) / 2.0
-        for _ in range(64):
-            x_new, t_new = x + alpha * dx, t + alpha * step[-1]
-            w_new, v_new = linalg._eigh(x_new - t_new * _EYE8)
-            if w_new[0] > 0.0:
-                break
-            alpha /= 2.0
-        else:
-            raise NumericalFailure("barrier step left the cone")
-        x, t, w, v = x_new, t_new, w_new, v_new
-        if decrement < BARRIER_CENTRED:
-            mu /= BARRIER_SHRINK
-    residual = _residual(_psd_part(w + t, v), target)
-    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, problem.max_iter)
+    from ._barrier import decide  # compiled on first use, not by `import qdeg`
+
+    w, v = linalg._eigh(problem.target)
+    return decide(problem, v, int(rank_and_cp(w)[0]))
 
 
 def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER) -> OracleResult:
     """Decide symmetric extendibility of a channel's Choi matrix c, in any
     representation (normalized to c/2), with ``barrier_feasibility``, at
-    every Choi rank.
+    every Choi rank. The face comes from the spectrum of the CP gate.
 
     Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
     (:func:`~qdeg.channels.choi_rank`), as every other entry point does.
     """
+    from ._barrier import decide  # compiled on first use, not by `import qdeg`
+
     c = to_choi(channel)
-    choi_rank(c)
-    return barrier_feasibility(ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter))
+    rank = choi_rank(c)
+    problem = ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
+    return decide(problem, c.eigen.eigenvectors, rank)

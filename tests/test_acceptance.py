@@ -58,6 +58,7 @@ from qdeg.linalg import (
     partial_trace,
 )
 from qdeg.symext import SWAP_YYP, OracleStatus, oracle_extendible
+from test_symext import verify_certificate
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
 
@@ -249,6 +250,41 @@ def test_criterion_10_oracle_cross_validation():
                 assert np.linalg.norm(y - sy) <= 1e-7
             done += 1
         assert time.perf_counter() - start < 300.0
+
+
+def test_criterion_10_oracle_proofs_by_rank():
+    with criterion(10, "oracle proofs verify at Choi ranks 1-4; the face decides rank-2 and rank-3 feasible targets"):
+        start = time.perf_counter()
+        rng = np.random.default_rng(20_016)
+        seen = set()
+        for rank in (1, 2, 3, 4):
+            done = 0
+            while done < 100:
+                c = choi_from_kraus(random_channel(rng, env_dim=rank))
+                margin = antidegradable_test(c).margin
+                if abs(margin) <= 1e-3:
+                    continue
+                result = oracle_extendible(c)
+                expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
+                assert result.status is expected, (rank, margin, result.status, result.iterations)
+                target = c.matrix / 2
+                if result.status is OracleStatus.FEASIBLE:
+                    y = result.witness
+                    sy = SWAP_YYP @ y @ SWAP_YYP
+                    assert np.linalg.eigvalsh(y)[0] >= -1e-7
+                    assert np.linalg.norm(partial_trace(y, 4, 2, 1) - target) <= 1e-7
+                    assert np.linalg.norm(partial_trace(sy, 4, 2, 1) - target) <= 1e-7
+                    assert np.linalg.norm(y - sy) <= 1e-7
+                    if rank == 2:
+                        assert result.iterations == 0
+                    elif rank == 3:
+                        assert result.iterations <= 8, result.iterations
+                else:
+                    verify_certificate(result.certificate, target)
+                seen.add((rank, result.status))
+                done += 1
+        assert {(r, s) for r in (2, 3) for s in (OracleStatus.FEASIBLE, OracleStatus.INFEASIBLE)} <= seen
+        assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_11_self_complementarity():

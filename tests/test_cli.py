@@ -340,6 +340,27 @@ class TestOracleCommand:
         assert np.linalg.norm(w - w.conj().T) <= 1e-12
         assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
 
+    @pytest.mark.parametrize("alpha, beta", [(3.032364, 2.224702), (2.075022, 2.926280)])
+    def test_target_just_inside_oracle_tol_decided(self, tmp_path, capsys, alpha, beta):
+        # (1 - s) C + s F, with F the swap (the Choi matrix of the transpose
+        # map: TP, not CP) and s putting the smallest Choi eigenvalue at
+        # -1.8e-7: --tol 2e-7 admits the channel, and the target's -9e-8 lies
+        # inside -(--oracle-tol). The full-space barrier stalled on the first
+        # at a residual of 1.05e-7 and hit a singular Newton system on the second.
+        c = choi_from_kraus(rank2(alpha, beta)).matrix
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        lo, hi = 0.0, 1e-3
+        for _ in range(60):
+            s = (lo + hi) / 2
+            lo, hi = (lo, s) if np.linalg.eigvalsh((1 - s) * c + s * swap)[0] < -1.8e-7 else (s, hi)
+        m = (1 - lo) * c + lo * swap
+        path = write_spec(tmp_path, {"kind": "choi", "matrix": [[[v.real, v.imag] for v in row] for row in m]})
+        code, out, _ = run(capsys, ["oracle", path, "--tol", "2e-7", "--max-iter", "100"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle"]["status"] == "feasible" and doc["oracle"]["iterations"] <= 100, doc
+        assert doc["analytic"]["state"] == "yes"
+
     def test_target_below_oracle_tol_exits_2(self, tmp_path, capsys):
         # --tol 1e-3 lets classify accept the channel (Choi eigenvalue -1e-6);
         # the normalized target's -5e-7 is still below -(--oracle-tol)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_channel, random_density, random_hermitian
+from helpers import random_channel, random_density, random_hermitian, random_unitary
 from qdeg.channels import (
     BlochParams,
     ChoiMatrix,
@@ -20,6 +20,7 @@ from qdeg.channels import (
 )
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, NotAChannel, NotPSD
+from qdeg._barrier import face_search
 from qdeg.linalg import _partial_trace, partial_trace
 from qdeg.symext import (
     SWAP_YYP,
@@ -464,6 +465,18 @@ class TestBarrier:
             infeasible += r.status is OracleStatus.INFEASIBLE
         assert infeasible > 0
 
+    def test_targets_just_inside_tol_decided(self):
+        # rank 2 plus an eigenvalue -9e-8 inside -tol: at a 300-step cap the
+        # full-space barrier left 15 of these 200 INCONCLUSIVE, its PSD
+        # projection's residual stuck at 1.05e-7
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            u = random_unitary(rng, 4)
+            lam = np.concatenate([[-9e-8, 0.0], rng.dirichlet([0.2, 0.2]) * (1 + 9e-8)])
+            target = (u * lam) @ u.conj().T
+            r = barrier_feasibility(ExtensionProblem(target=target, max_iter=300))
+            _decided_with_proof(r, target)
+
     def test_cold_import_builds_no_basis(self):
         # the import must not build the barrier basis (oracle-mixed setup time
         # pays for it), the first call builds it once, and the package must
@@ -477,6 +490,61 @@ class TestBarrier:
             "info = symext._extension_directions.cache_info()\n"
             "assert (info.currsize, info.misses) == (1, 1), info\n"
             "assert 'scipy' not in sys.modules\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestFace:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_face_of_a_channel(self, rank):
+        # V = (R (x) C^2) ∩ swap(R (x) C^2) has dimension 2 rank - 2, is
+        # annihilated by every exposing sym(u u^dag (x) I), and A restricted
+        # to it is one point at rank 2 and has 7 free directions at rank 3
+        rng = np.random.default_rng(30 + rank)
+        for _ in range(20):
+            target = choi_from_kraus(random_channel(rng, env_dim=rank)).matrix / 2
+            _, v = np.linalg.eigh(target)
+            x0, _, directions, q = face_search(target, v, rank)
+            assert q.shape == (8, 2 * rank - 2)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(2 * rank - 2)) <= 1e-12
+            assert np.linalg.norm(SWAP_YYP @ q - q) <= 1e-12
+            for u in v[:, : 4 - rank].T:
+                w_u = symmetrize_swap(np.kron(np.outer(u, u.conj()), I2))
+                assert np.linalg.norm(w_u @ q) <= 1e-12
+            x = q @ x0 @ q.conj().T
+            assert np.linalg.norm(partial_trace(x, 4, 2, 1) - target) <= 1e-12
+            assert len(directions) - 1 == {2: 0, 3: 7}[rank]
+            for d in directions[:-1]:
+                assert np.linalg.norm(partial_trace(q @ d @ q.conj().T, 4, 2, 1)) <= 1e-12
+                assert abs(np.vdot(d, x0)) <= 1e-12
+
+    def test_face_with_an_antisymmetric_part(self):
+        # the classical-quantum channel |0><0| (x) rho + |1><1| (x) |psi><psi|
+        # has |0> (x) C^2 in its range R, so V also holds |0> (x) singlet
+        rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+        psi = np.array([0.6, 0.8j])
+        c = np.kron(np.diag([1.0, 0.0]), rho) + np.kron(np.diag([0.0, 1.0]), np.outer(psi, psi.conj()))
+        target = c / 2
+        _, v = np.linalg.eigh(target)
+        x0, _, _, q = face_search(target, v, 3)
+        assert q.shape == (8, 5)
+        assert np.linalg.norm(SWAP_YYP @ q - q * [1, 1, 1, 1, -1]) <= 1e-12
+        assert np.linalg.norm(partial_trace(q @ x0 @ q.conj().T, 4, 2, 1) - target) <= 1e-12
+        r = oracle_extendible(ChoiMatrix(c))
+        assert r.status is OracleStatus.FEASIBLE  # entanglement breaking
+        verify_witness(r.witness, target)
+
+    def test_import_compiles_no_solver_code(self):
+        # one-shot CLI processes that never run the oracle do not compile it
+        code = (
+            "import sys, qdeg, qdeg.cli\n"
+            "assert 'qdeg._barrier' not in sys.modules\n"
+            "r = qdeg.oracle_extendible(qdeg.choi_from_kraus(qdeg.rank2(1.0, 0.2)))\n"
+            "assert r.status.value == 'feasible' and r.iterations == 0, r\n"
+            "assert 'qdeg._barrier' in sys.modules\n"
         )
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
