@@ -1,16 +1,28 @@
-"""Qubit channel representations and degradability classification."""
+"""Qubit channel representations and degradability classification.
 
+``__all__`` is the public API: exactly the names imported below, by group.
+"""
+
+from types import ModuleType as _ModuleType
+
+# representations and named constructors
 from .channels import (
-    BELL_F,
     BlochParams,
     ChoiMatrix,
     KrausSet,
     PauliTransfer,
     Rank2Params,
-    StinespringIsometry,
     amplitude_damping,
-    apply,
-    apply_choi,
+    completely_dephasing,
+    completely_depolarizing,
+    dephasing,
+    depolarizing,
+    identity,
+    rank2,
+    unital,
+)
+# conversions and the stack builders of `qdeg sweep`
+from .channels import (
     bell_mu,
     bloch_from_choi,
     bloch_to_choi,
@@ -19,61 +31,43 @@ from .channels import (
     choi_from_transfer,
     choi_rank,
     complement,
-    completely_dephasing,
-    completely_depolarizing,
-    dephasing,
-    depolarizing,
     depolarizing_kraus,
-    identity,
     kraus_from_choi,
     kraus_to_choi,
     phi_of_identity,
-    rank2,
     rank2_kraus,
-    stinespring,
-    to_bell_basis,
     to_choi,
     transfer_from_choi,
-    unital,
     validate_choi,
 )
+# verdicts and their kernel
 from .classify import (
+    VERDICTS,
     ClassificationReport,
     Margins,
     Verdict,
     VerdictState,
     antidegradable_test,
     classify,
-    deg_and_antideg_rank2,
     degradable_test,
-    depolarizing_thresholds,
     entanglement_breaking_test,
+    self_complementary_test,
+    verdict_kernel,
+    verdict_state,
+)
+# the paper's closed forms
+from .classify import (
+    deg_and_antideg_rank2,
+    depolarizing_thresholds,
     rank2_antidegradable,
     rank2_degradable,
     rank3_antidegradable,
     rank4_antidegradable,
-    self_complementary_test,
     unital_antidegradable,
-    verdict_kernel,
-    verdict_state,
 )
-from .linalg import (
-    HermitianEigen,
-    hermitian_eigen,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-    partial_transpose,
-    unvec,
-    vec,
-)
-from .symext import (
-    ExtensionProblem,
-    OracleResult,
-    OracleStatus,
-    oracle_extendible,
-    symmetrize_swap,
-)
+# the symmetric-extension oracle
+from .symext import ExtensionProblem, OracleResult, OracleStatus, barrier_feasibility, oracle_extendible
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
 __version__ = "0.1.0"

@@ -1,5 +1,9 @@
 """Single-qubit channel representations and conversions between them.
 
+It holds the four representations, the named constructors, the
+conversions through the Choi matrix with their unchecked ``(..., 4, 4)``
+stack builders, the complement, and the CP gate.
+
 Conventions used consistently across the package:
 
 - ``vec`` is column-stacking, so the Choi matrix of a channel with Kraus
@@ -7,8 +11,9 @@ Conventions used consistently across the package:
 - The Choi matrix lives on input (x) output; the *first* tensor factor is
   the channel input. Combined with column-stacking this gives
   ``tr_input(C) = Phi(I)`` and ``tr_output(C) = I`` for trace-preserving
-  maps. Both orderings circulate in the literature; everything here
-  assumes this one.
+  maps, and the channel acts as ``Phi(X) = tr_input(C (X^T (x) I))``.
+  Both orderings circulate in the literature; everything here assumes
+  this one.
 - A complementary channel is only defined up to an isometry on the
   environment. The construction below fixes the environment basis by
   Kraus order, so complements are compared only through quantities that
@@ -41,12 +46,6 @@ PAULI_BASIS = np.array((I2,) + PAULIS)
 #: C = 1/2 sum_{p,q} R[q, p] P_p^T (x) P_q; row 4q + p holds P_p^T (x) P_q,
 #: and the rows are orthogonal with squared norm 4.
 PAULI_CHOI = np.einsum("pij,qkl->qpjkil", PAULI_BASIS, PAULI_BASIS).reshape(16, 16)
-
-#: Change of basis whose rows are the Bell vectors; diagonalizes unital Chois.
-BELL_F = np.array(
-    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]],
-    dtype=np.complex128,
-) / np.sqrt(2.0)
 
 #: Absolute tolerance on trace-preservation residuals.
 TP_TOL = 1e-10
@@ -190,24 +189,6 @@ class PauliTransfer:
         return BlochParams(t=self.t, lam=np.diag(self.T))
 
 
-@dataclass(frozen=True, eq=False)
-class StinespringIsometry:
-    """Isometry V: input -> output (x) environment, rows indexed y*d + z."""
-
-    v: np.ndarray
-    env_dim: int
-
-    def __post_init__(self):
-        v = _freeze(linalg.as_matrix(self.v))
-        if v.shape != (2 * self.env_dim, 2):
-            raise InvalidDimension(
-                f"isometry shape {v.shape} does not match env_dim {self.env_dim}"
-            )
-        if linalg.frobenius(linalg.dagger(v) @ v - I2) > TP_TOL:
-            raise NotTracePreserving("V^dag V deviates from identity")
-        object.__setattr__(self, "v", v)
-
-
 @dataclass(frozen=True)
 class Rank2Params:
     """Angles of the canonical two-Kraus qubit channel."""
@@ -262,7 +243,7 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
     rank = choi_rank(c, tol)
     eig = c.eigen
     ops = [
-        linalg.unvec(np.sqrt(lam) * v, 2, 2)
+        (np.sqrt(lam) * v).reshape((2, 2), order="F")
         for lam, v in zip(eig.eigenvalues[4 - rank:], eig.eigenvectors.T[4 - rank:])
     ]
     # closed-form 2x2 square root: sqrt(G) = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G))
@@ -339,33 +320,6 @@ def bloch_from_choi(c: ChoiMatrix, tol: float = 1e-10):
     return tr
 
 
-def to_bell_basis(c: ChoiMatrix) -> np.ndarray:
-    """Conjugate the Choi matrix into the Bell basis, F c F^dag."""
-    return BELL_F @ c.matrix @ linalg.dagger(BELL_F)
-
-
-def apply(k: KrausSet, rho) -> np.ndarray:
-    """Operator-sum action ``sum_i K_i rho K_i^dag``."""
-    rho = linalg.as_matrix(rho)
-    if rho.shape != (2, 2):
-        raise InvalidDimension(f"state must be 2x2, got {rho.shape}")
-    out = np.zeros((k.out_dim, k.out_dim), dtype=np.complex128)
-    for op in k.operators:
-        out += op @ rho @ linalg.dagger(op)
-    return out
-
-
-def apply_choi(c: ChoiMatrix, rho) -> np.ndarray:
-    """Channel action recovered from the Choi matrix.
-
-    ``Phi(X) = tr_input(C (X^T (x) I))`` under this package's conventions.
-    """
-    rho = linalg.as_matrix(rho)
-    if rho.shape != (2, 2):
-        raise InvalidDimension(f"state must be 2x2, got {rho.shape}")
-    return linalg._partial_trace(c.matrix @ np.kron(rho.T, I2), 2, 2, traced=0)
-
-
 def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
     """Image of the identity, obtained as the input marginal of the Choi."""
     return linalg._partial_trace(c.matrix, 2, 2, traced=0)
@@ -432,18 +386,6 @@ def complement(k: KrausSet) -> KrausSet:
             for m in range(k.out_dim)
         )
     )
-
-
-def stinespring(k: KrausSet) -> StinespringIsometry:
-    """Stinespring isometry V = sum_i K_i (x) e_i on output (x) environment."""
-    if k.out_dim != 2:
-        raise InvalidDimension("stinespring expects a qubit channel")
-    d = k.env_dim
-    v = np.zeros((2 * d, 2), dtype=np.complex128)
-    for i, op in enumerate(k.operators):
-        for y in range(2):
-            v[y * d + i, :] = op[y, :]
-    return StinespringIsometry(v=v, env_dim=d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,14 @@ treats them as immutable. The vectorization convention is column-stacking,
 so ``vec(U @ K @ V) == kron(V.T, U) @ vec(K)`` holds for all conformable
 operands; every Choi-matrix construction in the package relies on it.
 
-Hermitian eigendecompositions are LAPACK's (``numpy.linalg.eigh`` and
-``eigvalsh``), behind one Hermiticity check; tolerances are explicit
-arguments throughout.
-
-The checks and the underscore cores (``_partial_trace``,
-``_partial_transpose``, ``_eigh``, ``_eigvalsh``) also take ``(..., n, n)``
-stacks; one matrix is the N=1 case and needs no reshaping. The cores skip
-coercion and checks: they are for arrays the package has already validated,
-such as ``ChoiMatrix.matrix``. The public functions coerce their input and
-reject non-finite entries.
+Input is checked once, where it enters: :func:`as_matrix` coerces it and
+rejects non-finite entries, and :func:`require_hermitian` is the one
+Hermiticity check. The partial trace and transpose and the LAPACK
+eigensolvers (``_partial_trace``, ``_partial_transpose``, ``_eigh``,
+``_eigvalsh``) then run unchecked on arrays the package has validated,
+such as ``ChoiMatrix.matrix``. All of them take ``(..., n, n)`` stacks;
+one matrix is the N=1 case and needs no reshaping. Tolerances are
+explicit arguments throughout.
 """
 
 from __future__ import annotations
@@ -68,49 +66,8 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (a tensor b)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization, returned as a 1-D array.
-
-    ``vec(A)[j * rows + i] == A[i, j]``.
-    """
-    return as_matrix(a).reshape(-1, order="F")
-
-
-def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if cols is None:
-        cols = v.size // rows
-    if rows * cols != v.size:
-        raise InvalidDimension(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def _check_bipartite(m: np.ndarray, dim_a: int, dim_b: int) -> None:
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise InvalidDimension(
-            f"matrix shape {m.shape} does not match {dim_a}x{dim_b} bipartite split"
-        )
-
-
-def partial_trace(m, dim_a: int, dim_b: int, traced: int) -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a * dim_b) square matrix.
-
-    ``traced=0`` removes the first factor (returns a dim_b matrix),
-    ``traced=1`` the second. The total trace is preserved.
-    """
-    m = as_matrix(m)
-    _check_bipartite(m, dim_a, dim_b)
-    return _partial_trace(m, dim_a, dim_b, traced)
-
-
 def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, traced: int) -> np.ndarray:
+    """Trace out factor ``traced`` (0 or 1) of a (dim_a * dim_b) square matrix."""
     t = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if traced == 0:
         return np.einsum("...ijik->...jk", t)
@@ -119,17 +76,8 @@ def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, traced: int) -> np.nda
     raise InvalidDimension(f"traced must be 0 or 1, got {traced!r}")
 
 
-def partial_transpose(m, dim_a: int, dim_b: int, transposed: int) -> np.ndarray:
-    """Transpose one tensor factor of a (dim_a * dim_b) square matrix.
-
-    Applying it twice on the same factor returns the input exactly.
-    """
-    m = as_matrix(m)
-    _check_bipartite(m, dim_a, dim_b)
-    return _partial_transpose(m, dim_a, dim_b, transposed)
-
-
 def _partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, transposed: int) -> np.ndarray:
+    """Transpose factor ``transposed`` (0 or 1) of a (dim_a * dim_b) square matrix."""
     t = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if transposed not in (0, 1):
         raise InvalidDimension(f"transposed must be 0 or 1, got {transposed!r}")
@@ -186,17 +134,3 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-
-
-def hermitian_eigen(m) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
-
-    The returned arrays are read-only, so one decomposition can be shared.
-    """
-    return _eigh(require_hermitian(as_matrix(m)))
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
-    return _eigvalsh(require_hermitian(as_matrix(m)))
-

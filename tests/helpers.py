@@ -1,11 +1,70 @@
-"""Shared random generators for the test suite (all seeded by callers)."""
+"""Shared random generators (all seeded by callers), reference
+implementations and proof checkers for the test suite.
+
+The references and checkers are written apart from the package: they use
+numpy directly and no qdeg routine, so a test that compares against them
+does not compare qdeg with itself.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from qdeg.channels import BlochParams, KrausSet
+from qdeg.channels import BlochParams, ChoiMatrix, KrausSet
 from qdeg.classify import classify
+
+I2 = np.eye(2, dtype=np.complex128)
+
+#: Change of basis whose rows are the Bell vectors; diagonalizes unital Chois.
+BELL_F = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]],
+    dtype=np.complex128,
+) / np.sqrt(2.0)
+
+#: The swap of Y and Y' on X (x) Y (x) Y', basis index 4x + 2y + y'.
+SWAP_YYP = np.eye(8, dtype=np.complex128)[[0, 2, 1, 3, 4, 6, 5, 7]]
+
+
+def vec(a) -> np.ndarray:
+    """Column-stacking vectorization: ``vec(A)[j * rows + i] == A[i, j]``."""
+    return np.asarray(a, dtype=np.complex128).reshape(-1, order="F")
+
+
+def trace_last_qubit(m: np.ndarray) -> np.ndarray:
+    """Partial trace over the last qubit of a (2n x 2n) matrix."""
+    n = m.shape[0] // 2
+    return np.einsum("aibi->ab", m.reshape(n, 2, n, 2))
+
+
+def apply(k: KrausSet, rho) -> np.ndarray:
+    """Operator-sum action ``sum_i K_i rho K_i^dag``."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    out = np.zeros((k.out_dim, k.out_dim), dtype=np.complex128)
+    for op in k.operators:
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def apply_choi(c: ChoiMatrix, rho) -> np.ndarray:
+    """Channel action recovered from the Choi matrix, ``tr_input(C (X^T (x) I))``."""
+    m = c.matrix @ np.kron(np.asarray(rho, dtype=np.complex128).T, I2)
+    return np.einsum("ijik->jk", m.reshape(2, 2, 2, 2))
+
+
+def to_bell_basis(c: ChoiMatrix) -> np.ndarray:
+    """Conjugate the Choi matrix into the Bell basis, F c F^dag."""
+    return BELL_F @ c.matrix @ BELL_F.conj().T
+
+
+def stinespring(k: KrausSet) -> np.ndarray:
+    """Stinespring isometry V = sum_i K_i (x) e_i on output (x) environment, rows y*d + i."""
+    d = k.env_dim
+    v = np.zeros((2 * d, 2), dtype=np.complex128)
+    for i, op in enumerate(k.operators):
+        for y in range(2):
+            v[y * d + i, :] = op[y, :]
+    return v
 
 
 def random_unitary(rng, n: int = 2) -> np.ndarray:
@@ -185,3 +244,75 @@ def assert_sweep_row_matches_classify(row: dict, channel, margin_tol: float = 1e
         verdict = getattr(rep, name)
         assert row[f"{key}_state"] == verdict.state.value, (row, name)
         assert abs(row[f"{key}_margin"] - verdict.margin) <= margin_tol, (row, name)
+
+
+def verify_witness(y, target, tol=1e-7):
+    """y is a symmetric extension of target: PSD, swap invariant, both marginals target."""
+    assert np.linalg.eigvalsh(y)[0] >= -tol
+    assert np.linalg.norm(trace_last_qubit(y) - target) <= tol
+    sy = SWAP_YYP @ y @ SWAP_YYP
+    assert np.linalg.norm(trace_last_qubit(sy) - target) <= tol
+    assert np.linalg.norm(y - sy) <= tol
+
+
+def _hermitian_basis(n):
+    """Orthonormal basis of the n x n Hermitian matrices under Re tr(A^dag B)."""
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            e = np.zeros((n, n), dtype=complex)
+            if j == k:
+                e[j, j] = 1.0
+                basis.append(e)
+                continue
+            e[j, k] = e[k, j] = 1 / np.sqrt(2)
+            basis.append(e)
+            f = np.zeros((n, n), dtype=complex)
+            f[j, k], f[k, j] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            basis.append(f)
+    return basis
+
+
+H8, H4 = _hermitian_basis(8), _hermitian_basis(4)
+
+
+def coords(m, basis):
+    """Coordinates of m in an orthonormal Hermitian basis."""
+    return np.array([np.vdot(b, m).real for b in basis])
+
+
+def _constraints(x):
+    """Real coordinates of (swap(x) - x, tr_Y'(x)): A is {constraints = (0, target)}."""
+    sx = SWAP_YYP @ x @ SWAP_YYP
+    return np.concatenate([coords(sx - x, H8), coords(trace_last_qubit(x), H4)])
+
+
+# the linear map X -> _constraints(X) in the Hermitian basis, and its null space L
+CONSTRAINT_MATRIX = np.array([_constraints(b) for b in H8]).T
+_, _sv, _vt = np.linalg.svd(CONSTRAINT_MATRIX)
+L_BASIS = _vt[int(np.sum(_sv > 1e-10)):].T
+
+
+def verify_certificate(w, target):
+    """Independent check that w proves the affine set A holds no PSD point.
+
+    w must be Hermitian, PSD, orthogonal to L (the linear part of A), and
+    negative on A, checked at two distinct points of A. A rounding-level
+    negative eigenvalue -e of w is absorbed as w + e I, which adds e to
+    <w, X> on A (every X in A has trace one).
+    """
+    assert w.shape == (8, 8)
+    scale = np.linalg.norm(w)
+    assert np.linalg.norm(w - w.conj().T) <= 1e-12 * scale
+    shift = max(0.0, -np.linalg.eigvalsh(w)[0])
+    assert shift <= 1e-12 * scale
+    assert np.linalg.norm(L_BASIS.T @ coords(w, H8)) <= 1e-12 * scale
+    rhs = np.concatenate([np.zeros(len(H8)), coords(target, H4)])
+    x0 = sum(c * b for c, b in zip(np.linalg.lstsq(CONSTRAINT_MATRIX, rhs, rcond=None)[0], H8))
+    step = L_BASIS @ np.random.default_rng(0).normal(size=L_BASIS.shape[1])
+    x1 = x0 + sum(c * b for c, b in zip(step, H8))
+    for x in (x0, x1):
+        assert np.linalg.norm(_constraints(x) - rhs) <= 1e-12
+        assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(w, x).real + shift < 0
+    assert np.linalg.norm(x1 - x0) > 0.5

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from helpers import (
+    apply,
     bloch_boundary_scale,
     bloch_boundary_scales,
     measure_prepare_channel,
@@ -21,13 +22,14 @@ from helpers import (
     random_rank4_bloch,
     random_tetra_lambda,
     random_unitary,
+    verify_certificate,
+    verify_witness,
 )
 from qdeg.channels import (
     BlochParams,
     ChoiMatrix,
     KrausSet,
     Rank2Params,
-    apply,
     choi_from_bloch,
     choi_from_kraus,
     bloch_from_choi,
@@ -52,13 +54,7 @@ from qdeg.classify import (
     unital_antidegradable,
 )
 from qdeg.errors import WrongRank
-from qdeg.linalg import (
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-)
-from qdeg.symext import SWAP_YYP, OracleStatus, oracle_extendible
-from test_symext import verify_certificate
+from qdeg.symext import OracleStatus, oracle_extendible
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
 
@@ -97,7 +93,7 @@ def test_criterion_02_eb_threshold_and_gap():
 def test_criterion_03_exact_boundary_arithmetic():
     with criterion(3, "p=1/3 boundary: tr C^2 = 7/3, 4 sqrt(det) = 1/3, margin 0"):
         c = choi_from_kraus(depolarizing(1 / 3))
-        eigs = hermitian_eigenvalues(c.matrix)
+        eigs = np.linalg.eigvalsh(c.matrix)
         tr_c2 = float(np.sum(eigs * eigs))
         root_term = 4.0 * math.sqrt(np.prod(eigs))
         assert abs(tr_c2 - 7 / 3) <= 1e-12
@@ -221,7 +217,7 @@ def test_criterion_09_unitary_covariance():
             for _ in range(100):
                 u = random_unitary(rng)
                 v = random_unitary(rng)
-                w = kron(v.T, u)
+                w = np.kron(v.T, u)
                 rotated = ChoiMatrix(w @ c.matrix @ w.conj().T)
                 assert abs(antidegradable_test(rotated).margin - base) <= 1e-10
 
@@ -241,13 +237,7 @@ def test_criterion_10_oracle_cross_validation():
             expected = OracleStatus.FEASIBLE if margin > 0 else OracleStatus.INFEASIBLE
             assert result.status is expected, (margin, result.status, result.iterations)
             if result.status is OracleStatus.FEASIBLE:
-                y = result.witness
-                target = c.matrix / 2
-                sy = SWAP_YYP @ y @ SWAP_YYP
-                assert np.linalg.eigvalsh(y)[0] >= -1e-7
-                assert np.linalg.norm(partial_trace(y, 4, 2, 1) - target) <= 1e-7
-                assert np.linalg.norm(partial_trace(sy, 4, 2, 1) - target) <= 1e-7
-                assert np.linalg.norm(y - sy) <= 1e-7
+                verify_witness(result.witness, c.matrix / 2)
             done += 1
         assert time.perf_counter() - start < 300.0
 
@@ -269,12 +259,7 @@ def test_criterion_10_oracle_proofs_by_rank():
                 assert result.status is expected, (rank, margin, result.status, result.iterations)
                 target = c.matrix / 2
                 if result.status is OracleStatus.FEASIBLE:
-                    y = result.witness
-                    sy = SWAP_YYP @ y @ SWAP_YYP
-                    assert np.linalg.eigvalsh(y)[0] >= -1e-7
-                    assert np.linalg.norm(partial_trace(y, 4, 2, 1) - target) <= 1e-7
-                    assert np.linalg.norm(partial_trace(sy, 4, 2, 1) - target) <= 1e-7
-                    assert np.linalg.norm(y - sy) <= 1e-7
+                    verify_witness(result.witness, target)
                     if rank == 2:
                         assert result.iterations == 0
                     elif rank == 3:

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import _bloch_matrix, random_channel, random_density, random_dephasing, random_unitary
+from helpers import (
+    _bloch_matrix,
+    apply,
+    apply_choi,
+    random_channel,
+    random_density,
+    random_dephasing,
+    random_unitary,
+    stinespring,
+    to_bell_basis,
+    trace_last_qubit,
+    vec,
+)
 from qdeg.channels import (
     PAULIS,
     BlochParams,
@@ -9,8 +21,6 @@ from qdeg.channels import (
     KrausSet,
     PauliTransfer,
     amplitude_damping,
-    apply,
-    apply_choi,
     bell_mu,
     bloch_from_choi,
     bloch_to_choi,
@@ -27,8 +37,6 @@ from qdeg.channels import (
     kraus_from_choi,
     phi_of_identity,
     rank2,
-    stinespring,
-    to_bell_basis,
     to_choi,
     transfer_from_choi,
     unital,
@@ -41,7 +49,6 @@ from qdeg.errors import (
     NotHermitian,
     NotTracePreserving,
 )
-from qdeg.linalg import hermitian_eigenvalues, kron, partial_trace, vec
 
 I2 = np.eye(2, dtype=complex)
 
@@ -133,7 +140,7 @@ class TestChoiFromKraus:
         rng = np.random.default_rng(0)
         for _ in range(100):
             c = choi_from_kraus(random_channel(rng))
-            assert np.linalg.norm(partial_trace(c.matrix, 2, 2, 1) - I2) <= 1e-10
+            assert np.linalg.norm(trace_last_qubit(c.matrix) - I2) <= 1e-10
 
 
 class TestKrausFromChoi:
@@ -302,8 +309,8 @@ class TestComplement:
         rng = np.random.default_rng(7)
         for _ in range(100):
             k = random_channel(rng)
-            s1 = hermitian_eigenvalues(choi_from_kraus(k).matrix)
-            s2 = hermitian_eigenvalues(choi_from_kraus(complement(complement(k))).matrix)
+            s1 = np.linalg.eigvalsh(choi_from_kraus(k).matrix)
+            s2 = np.linalg.eigvalsh(choi_from_kraus(complement(complement(k))).matrix)
             assert np.linalg.norm(s1 - s2) <= 1e-10
 
     def test_complement_matches_stinespring(self):
@@ -312,7 +319,7 @@ class TestComplement:
             k = random_channel(rng, env_dim=d)
             v = stinespring(k)
             rho = random_density(rng)
-            big = (v.v @ rho @ v.v.conj().T).reshape(2, d, 2, d)
+            big = (v @ rho @ v.conj().T).reshape(2, d, 2, d)
             tr_y = np.einsum("iaib->ab", big)
             tr_z = np.einsum("aibi->ab", big)
             assert np.allclose(tr_z, apply(k, rho), atol=1e-12)
@@ -347,10 +354,6 @@ class TestApply:
             c = choi_from_kraus(k)
             rho = random_density(rng)
             assert np.linalg.norm(apply(k, rho) - apply_choi(c, rho)) <= 1e-11
-
-    def test_dimension_check(self):
-        with pytest.raises(InvalidDimension):
-            apply(identity(), np.eye(3))
 
 
 class TestPhiOfIdentity:
@@ -411,12 +414,12 @@ class TestUnitaryCovariance:
             u = random_unitary(rng)
             v = random_unitary(rng)
             rotated = KrausSet(tuple(u @ op @ v for op in k.operators))
-            w = kron(v.T, u)
+            w = np.kron(v.T, u)
             lhs = choi_from_kraus(rotated).matrix
             rhs = w @ choi_from_kraus(k).matrix @ w.conj().T
             assert np.linalg.norm(lhs - rhs) <= 1e-11
-            s1 = hermitian_eigenvalues(lhs)
-            s2 = hermitian_eigenvalues(choi_from_kraus(k).matrix)
+            s1 = np.linalg.eigvalsh(lhs)
+            s2 = np.linalg.eigvalsh(choi_from_kraus(k).matrix)
             assert np.linalg.norm(s1 - s2) <= 1e-11
 
 
@@ -488,5 +491,5 @@ class TestStinespring:
         rng = np.random.default_rng(16)
         for d in (1, 2, 3, 4):
             v = stinespring(random_channel(rng, env_dim=d))
-            assert v.env_dim == d
-            assert np.linalg.norm(v.v.conj().T @ v.v - I2) <= 1e-10
+            assert v.shape == (2 * d, 2)
+            assert np.linalg.norm(v.conj().T @ v - I2) <= 1e-10

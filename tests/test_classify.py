@@ -46,7 +46,6 @@ from qdeg.classify import (
     unital_antidegradable,
 )
 from qdeg.errors import InvalidParameter, NotAChannel, NotApplicable, NotCompletelyPositive, WrongRank
-from qdeg.linalg import kron
 from qdeg.symext import oracle_extendible
 
 YES, NO, BOUNDARY = VerdictState.YES, VerdictState.NO, VerdictState.BOUNDARY
@@ -445,7 +444,7 @@ class TestStructuralInvariants:
         for _ in range(100):
             u = random_unitary(rng)
             v = random_unitary(rng)
-            w = kron(v.T, u)
+            w = np.kron(v.T, u)
             rotated = ChoiMatrix(w @ c.matrix @ w.conj().T)
             assert abs(antidegradable_test(rotated).margin - base) <= 1e-10
 

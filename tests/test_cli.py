@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_sweep_row_matches_classify
-from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, rank2
+from helpers import assert_sweep_row_matches_classify, verify_certificate, verify_witness
+from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, identity, rank2
 from qdeg.classify import unital_antidegradable
 from qdeg.cli import main
 
@@ -326,6 +326,7 @@ class TestOracleCommand:
         w = matrix_from_json(doc["witness"])
         assert w.shape == (8, 8)
         assert np.linalg.eigvalsh(w)[0] >= -1e-7
+        verify_witness(w, choi_from_kraus(depolarizing(0.8)).matrix / 2)
 
 
     def test_certificate_file(self, tmp_path, capsys):
@@ -339,6 +340,7 @@ class TestOracleCommand:
         assert w.shape == (8, 8)
         assert np.linalg.norm(w - w.conj().T) <= 1e-12
         assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
+        verify_certificate(w, choi_from_kraus(identity()).matrix / 2)
 
     @pytest.mark.parametrize("alpha, beta", [(3.032364, 2.224702), (2.075022, 2.926280)])
     def test_target_just_inside_oracle_tol_decided(self, tmp_path, capsys, alpha, beta):

@@ -180,7 +180,7 @@ class TestStackValidation:
         with pytest.raises(InvalidDimension, match="finite"):
             validate_choi(np.array([m, m]))
         with pytest.raises(InvalidDimension, match="finite"):
-            linalg.hermitian_eigenvalues(m)
+            linalg.as_matrix(m)
         with pytest.raises(InvalidDimension, match="finite"):
             KrausSet((m[2:, 2:],))
 

@@ -6,7 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_channel, random_density, random_hermitian, random_unitary
+from helpers import (
+    CONSTRAINT_MATRIX,
+    H4,
+    H8,
+    L_BASIS,
+    coords,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    trace_last_qubit,
+    verify_certificate,
+    verify_witness,
+)
 from qdeg.channels import (
     BlochParams,
     ChoiMatrix,
@@ -21,7 +34,7 @@ from qdeg.channels import (
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, NotAChannel, NotPSD
 from qdeg._barrier import face_search
-from qdeg.linalg import _partial_trace, partial_trace
+from qdeg.linalg import _partial_trace
 from qdeg.symext import (
     SWAP_YYP,
     ExtensionProblem,
@@ -37,77 +50,6 @@ from qdeg.symext import (
 )
 
 I2 = np.eye(2, dtype=complex)
-
-
-def verify_witness(y, target, tol=1e-7):
-    assert np.linalg.eigvalsh(y)[0] >= -tol
-    assert np.linalg.norm(partial_trace(y, 4, 2, 1) - target) <= tol
-    sy = SWAP_YYP @ y @ SWAP_YYP
-    assert np.linalg.norm(partial_trace(sy, 4, 2, 1) - target) <= tol
-    assert np.linalg.norm(y - sy) <= tol
-
-
-def _hermitian_basis(n):
-    """Orthonormal basis of the n x n Hermitian matrices under Re tr(A^dag B)."""
-    basis = []
-    for j in range(n):
-        for k in range(j, n):
-            e = np.zeros((n, n), dtype=complex)
-            if j == k:
-                e[j, j] = 1.0
-                basis.append(e)
-                continue
-            e[j, k] = e[k, j] = 1 / np.sqrt(2)
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[j, k], f[k, j] = 1j / np.sqrt(2), -1j / np.sqrt(2)
-            basis.append(f)
-    return basis
-
-
-H8, H4 = _hermitian_basis(8), _hermitian_basis(4)
-
-
-def _coords(m, basis):
-    return np.array([np.vdot(b, m).real for b in basis])
-
-
-def _constraints(x):
-    """Real coordinates of (swap(x) - x, tr_Y'(x)): A is {constraints = (0, target)}."""
-    sx = SWAP_YYP @ x @ SWAP_YYP
-    marg = np.einsum("aibi->ab", x.reshape(4, 2, 4, 2))
-    return np.concatenate([_coords(sx - x, H8), _coords(marg, H4)])
-
-
-# the linear map X -> _constraints(X) in the Hermitian basis, and its null space L
-CONSTRAINT_MATRIX = np.array([_constraints(b) for b in H8]).T
-_, _sv, _vt = np.linalg.svd(CONSTRAINT_MATRIX)
-L_BASIS = _vt[int(np.sum(_sv > 1e-10)):].T
-
-
-def verify_certificate(w, target):
-    """Independent check that w proves the affine set A holds no PSD point.
-
-    w must be Hermitian, PSD, orthogonal to L (the linear part of A), and
-    negative on A, checked at two distinct points of A. A rounding-level
-    negative eigenvalue -e of w is absorbed as w + e I, which adds e to
-    <w, X> on A (every X in A has trace one).
-    """
-    assert w.shape == (8, 8)
-    scale = np.linalg.norm(w)
-    assert np.linalg.norm(w - w.conj().T) <= 1e-12 * scale
-    shift = max(0.0, -np.linalg.eigvalsh(w)[0])
-    assert shift <= 1e-12 * scale
-    assert np.linalg.norm(L_BASIS.T @ _coords(w, H8)) <= 1e-12 * scale
-    rhs = np.concatenate([np.zeros(len(H8)), _coords(target, H4)])
-    x0 = sum(c * b for c, b in zip(np.linalg.lstsq(CONSTRAINT_MATRIX, rhs, rcond=None)[0], H8))
-    step = L_BASIS @ np.random.default_rng(0).normal(size=L_BASIS.shape[1])
-    x1 = x0 + sum(c * b for c, b in zip(step, H8))
-    for x in (x0, x1):
-        assert np.linalg.norm(_constraints(x) - rhs) <= 1e-12
-        assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
-        assert np.vdot(w, x).real + shift < 0
-    assert np.linalg.norm(x1 - x0) > 0.5
 
 
 class TestKernels:
@@ -174,14 +116,14 @@ class TestProjectMarginal:
         return random_density(rng, 4)
 
     def _rhs(self, t):
-        return np.concatenate([np.zeros(len(H8)), _coords(t, H4)])
+        return np.concatenate([np.zeros(len(H8)), coords(t, H4)])
 
     def test_meets_constraints(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             t = self._target(rng)
             p = _project_affine(random_hermitian(rng, 8), t)
-            assert np.linalg.norm(CONSTRAINT_MATRIX @ _coords(p, H8) - self._rhs(t)) <= 1e-13
+            assert np.linalg.norm(CONSTRAINT_MATRIX @ coords(p, H8) - self._rhs(t)) <= 1e-13
             assert np.linalg.norm(p - p.conj().T) <= 1e-15
 
     def test_satisfying_input_unchanged(self):
@@ -213,7 +155,7 @@ class TestProjectMarginal:
         for _ in range(20):
             t = self._target(rng)
             m = random_hermitian(rng, 8)
-            moved = _coords(m - _project_affine(m, t), H8)
+            moved = coords(m - _project_affine(m, t), H8)
             assert np.linalg.norm(L_BASIS.T @ moved) <= 1e-13
 
 
@@ -232,8 +174,8 @@ class TestSymmetrizeSwap:
         rho_xy = random_density(rng, 4)
         sigma = random_density(rng, 2)
         avg = symmetrize_swap(np.kron(rho_xy, sigma))
-        m_yp = partial_trace(avg, 4, 2, 1)
-        m_y = partial_trace(SWAP_YYP @ avg @ SWAP_YYP, 4, 2, 1)
+        m_yp = trace_last_qubit(avg)
+        m_y = trace_last_qubit(SWAP_YYP @ avg @ SWAP_YYP)
         assert np.linalg.norm(m_y - m_yp) <= 1e-12
 
 
@@ -391,8 +333,8 @@ class TestBarrier:
         basis, directions = _extension_directions()
         assert basis.shape == (24, 128) and directions.shape == (25, 8, 8)
         assert np.linalg.norm(basis @ basis.T - np.eye(24)) <= 1e-13
-        coords = np.array([_coords(b, H8) for b in directions[:24]]).T
-        assert np.linalg.norm(L_BASIS @ (L_BASIS.T @ coords) - coords) <= 1e-13
+        cols = np.array([coords(b, H8) for b in directions[:24]]).T
+        assert np.linalg.norm(L_BASIS @ (L_BASIS.T @ cols) - cols) <= 1e-13
         assert np.array_equal(directions[24], -np.eye(8))
 
     def test_routes_by_support_face(self):
@@ -515,10 +457,10 @@ class TestFace:
                 w_u = symmetrize_swap(np.kron(np.outer(u, u.conj()), I2))
                 assert np.linalg.norm(w_u @ q) <= 1e-12
             x = q @ x0 @ q.conj().T
-            assert np.linalg.norm(partial_trace(x, 4, 2, 1) - target) <= 1e-12
+            assert np.linalg.norm(trace_last_qubit(x) - target) <= 1e-12
             assert len(directions) - 1 == {2: 0, 3: 7}[rank]
             for d in directions[:-1]:
-                assert np.linalg.norm(partial_trace(q @ d @ q.conj().T, 4, 2, 1)) <= 1e-12
+                assert np.linalg.norm(trace_last_qubit(q @ d @ q.conj().T)) <= 1e-12
                 assert abs(np.vdot(d, x0)) <= 1e-12
 
     def test_face_with_an_antisymmetric_part(self):
@@ -532,7 +474,7 @@ class TestFace:
         x0, _, _, q = face_search(target, v, 3)
         assert q.shape == (8, 5)
         assert np.linalg.norm(SWAP_YYP @ q - q * [1, 1, 1, 1, -1]) <= 1e-12
-        assert np.linalg.norm(partial_trace(q @ x0 @ q.conj().T, 4, 2, 1) - target) <= 1e-12
+        assert np.linalg.norm(trace_last_qubit(q @ x0 @ q.conj().T) - target) <= 1e-12
         r = oracle_extendible(ChoiMatrix(c))
         assert r.status is OracleStatus.FEASIBLE  # entanglement breaking
         verify_witness(r.witness, target)
