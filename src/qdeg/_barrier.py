@@ -1,8 +1,10 @@
 """The log-det barrier of the symmetric-extension oracle.
 
-``barrier`` is the one Newton loop; it searches the full affine set A of
-``qdeg.symext`` or its restriction to the face of a rank-deficient target
-(``face_search``), and ``decide`` routes a target between the two. The
+``barrier`` is the one Newton loop. It searches the affine set A of
+``qdeg.symext`` restricted to a face of the target's range, and
+``face_search`` builds every such search space: the face of a
+rank-deficient target, or the full space, which is the face of a
+full-rank one. ``decide`` routes a target between the two. The
 derivation is in the ``qdeg.symext`` docstring. ``symext`` imports this
 module on first use, so that ``import qdeg`` compiles none of it.
 """
@@ -20,13 +22,9 @@ from .symext import (
     BARRIER_SHRINK,
     BARRIER_START_GAP,
     CERT_RTOL,
-    _EYE8,
     ExtensionProblem,
     OracleResult,
     OracleStatus,
-    _extension_directions,
-    _norm,
-    _project_affine,
     _psd_part,
     _residual,
     _tensor_eye,
@@ -76,20 +74,20 @@ def _hermitian_basis(sizes: tuple[int, ...]) -> np.ndarray:
     return stack
 
 
-def face_search(target: np.ndarray, vectors: np.ndarray, r: int) -> tuple | None:
-    """A restricted to the face V of a target of Choi rank r = 2 or 3.
+def _face(top: np.ndarray) -> tuple | None:
+    """The geometry of the face V of a range R with orthonormal basis ``top``
+    (4 x r), or None when V = {0}.
 
-    R is spanned by the last r columns of ``vectors``, the target's
-    eigenvectors in ascending order, and lambda_R = diag(R^dag target R).
     With E = R (x) I, the right singular vectors of P_anti E with singular
     value 0 (1) span the swap-symmetric (antisymmetric) part of V in E's
     coordinates (i, c); stacked as g they give Q = E g. The marginal of
     Q Y Q^dag is R tr_c(g Y g^dag) R^dag, so on the face A is
-    {Y block-diagonal : tr_c(g Y g^dag) = diag(lambda_R)}, searched from its
-    least-norm point. Returns the barrier's search ``(x0, basis, directions,
-    lift)`` with lift = Q, or None when V = {0} or A misses the face.
+    {Y block-diagonal : tr_c(g Y g^dag) = R^dag target R}, a linear system
+    ``a`` in the coordinates of Y in ``units``, whose least-norm solution
+    is ``solve`` times the real and imaginary parts of R^dag target R.
+    Returns ``(top, a, solve, units, basis, directions, q)``.
     """
-    top = vectors[:, 4 - r:]
+    r = top.shape[1]
     e = _tensor_eye(top)
     _, s, vh = np.linalg.svd(_antisymmetric_rows() @ e)
     s = np.concatenate([s, np.zeros(2 * r - 2)])
@@ -106,42 +104,78 @@ def face_search(target: np.ndarray, vectors: np.ndarray, r: int) -> tuple | None
     gg = (gc.T @ gc.conj()).reshape(r, k, r, k).transpose(0, 2, 1, 3).reshape(r * r, k * k)
     m = gg @ units.T
     a = np.concatenate([m.real, m.imag])
-    b = np.zeros(2 * r * r)
-    b[: r * r : r + 1] = np.einsum("ai,ai->i", top.conj(), target @ top).real
     u, sv, vt = np.linalg.svd(a)
     fixed = np.count_nonzero(sv > _CUT * sv[0])
-    coef = vt[:fixed].T @ ((u[:, :fixed].T @ b) / sv[:fixed])
-    if _norm(a @ coef - b) > _CUT:
-        return None
+    solve = (vt[:fixed].T / sv[:fixed]) @ u[:, :fixed].T
     free = (vt[fixed:] @ units).reshape(-1, k, k)
     directions = np.concatenate([free, -np.eye(k, dtype=np.complex128)[None]])
     basis = free.view(np.float64).reshape(len(free), 2 * k * k)
-    return (coef @ units).reshape(k, k), basis, directions, e @ g
+    return top, a, solve, units, basis, directions, e @ g
+
+
+@functools.cache
+def _full_face() -> tuple:
+    """``_face`` of R = C^4 with basis I: the full space, the same for every
+    target, so built once, on first use. Its arrays are read-only."""
+    face = _face(np.eye(4, dtype=np.complex128))
+    for array in face:
+        array.setflags(write=False)
+    return face
+
+
+def face_search(target: np.ndarray, vectors: np.ndarray, r: int) -> tuple | None:
+    """A restricted to the face V of a target of Choi rank r.
+
+    R is spanned by the last r columns of ``vectors``, the target's
+    eigenvectors in ascending order; at r = 4 it is C^4, with the basis I,
+    and V is the whole swap-invariant space. On the face, A is searched
+    from its least-norm point (see ``_face``). Returns the barrier's search
+    ``(x0, basis, directions, lift)`` with lift = Q, or None when V = {0}
+    or A misses the face.
+    """
+    face = _full_face() if r == 4 else _face(vectors[:, 4 - r:])
+    if face is None:
+        return None
+    top, a, solve, units, basis, directions, q = face
+    m = linalg.dagger(top) @ target @ top
+    b = np.concatenate([m.real.ravel(), m.imag.ravel()])
+    coef = solve @ b
+    if linalg.frobenius(a @ coef - b) > _CUT:
+        return None
+    k = q.shape[1]
+    return (coef @ units).reshape(k, k), basis, directions, q
+
+
+def _lift(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 8x8 extension Q Y Q^dag of a point Y of a face."""
+    y = q @ y @ linalg.dagger(q)
+    return (y + linalg.dagger(y)) / 2.0
 
 
 def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
-            stop: int | None = None) -> tuple[OracleResult | None, int]:
+            stop: int | None = None, final: bool = False) -> tuple[OracleResult | None, int]:
     """The barrier on ``search``, counting its Newton steps from ``start``
     and checking its iterates for proofs up to step ``stop`` (default
     ``problem.max_iter``).
 
     ``search = (x0, basis, directions, lift)`` is an affine set
-    {x0 + sum_k z_k D_k}: ``basis`` holds the real views of the orthonormal
-    D_k as rows, ``directions`` the stack D_1..D_m, -I, and ``lift`` maps a
-    point Y of the set to its 8x8 extension Q Y Q^dag (None: Y is the
-    extension).
+    {x0 + sum_k z_k D_k} from ``face_search``: ``basis`` holds the real
+    views of the orthonormal D_k as rows, ``directions`` the stack
+    D_1..D_m, -I, and ``lift`` is Q, which maps a point Y of the set to its
+    8x8 extension Q Y Q^dag.
 
-    Returns ``(result, steps)``. On the full space the result is
-    FEASIBLE, INFEASIBLE or, at ``problem.max_iter``, INCONCLUSIVE. On a
-    face it is a FEASIBLE witness or None: the face is ruled out when its
-    one point is not a witness, when its dual certificate proves it empty
-    or when a centred bound t + dim(V) mu falls below 0. The result is
-    also None at a ``stop`` below the cap, or at the cap on a face.
+    Returns ``(result, steps)``. A ``final`` run (the full space) ends
+    FEASIBLE, INFEASIBLE with the certificate lifted as Q W Q^dag or, at
+    ``problem.max_iter``, INCONCLUSIVE. Any other run ends with a FEASIBLE
+    witness or None: the face is ruled out when its one point is not a
+    witness, when its dual certificate proves it empty or when a centred
+    bound t + dim(V) mu falls below 0. The result is also None at a
+    ``stop`` below the cap, or at the cap when the run is not final.
     """
     target, tol = problem.target, problem.tol
     x0, basis, directions, lift = search
     k, n = len(x0), len(directions)
-    eye = _EYE8 if lift is None else np.eye(k, dtype=np.complex128)
+    eye = np.eye(k, dtype=np.complex128)
     flat = directions.view(np.float64).reshape(n, 2 * k * k)
     x = x0
     w, v = linalg._eigh(x)
@@ -155,30 +189,27 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
         # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
         # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
         if lam_x[0] >= -2.0 * tol:
-            y = x if lam_x[0] > 0.0 else _psd_part(lam_x, v)
-            if lift is not None:
-                y = lift @ y @ linalg.dagger(lift)
-                y = (y + linalg.dagger(y)) / 2.0
+            y = _lift(lift, x if lam_x[0] > 0.0 else _psd_part(lam_x, v))
             residual = _residual(y, target)
             if residual <= tol:
                 return OracleResult(OracleStatus.FEASIBLE, y, residual, it), it
-        if lift is not None and n == 1:
+        if not final and n == 1:
             return None, it
         s_inv = (v / w) @ linalg.dagger(v)
         coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
-        # x0 is orthogonal to the D_k (target (x) I/2 lies in L^perp; on a
-        # face x0 is the least-norm solution), so
+        # x0 is the least-norm point of A, so it is orthogonal to the D_k and
         # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
         if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
             dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(k, k))
             dual = (dual + linalg.dagger(dual)) / 2.0
             # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
             cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
-            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, _norm(cert)):
-                if lift is not None:
+            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
+                if not final:
                     return None, it
-                residual = _residual(_psd_part(lam_x, v), target)
-                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert), it
+                residual = _residual(_lift(lift, _psd_part(lam_x, v)), target)
+                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
+                                    certificate=_lift(lift, cert)), it
         if it == stop:
             break
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
@@ -196,7 +227,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
         if not np.isfinite(decrement):
             raise NumericalFailure("Newton step is not finite")
         centred = decrement < BARRIER_CENTRED
-        if lift is not None and centred and t + k * mu < 0.0:
+        if not final and centred and t + k * mu < 0.0:
             return None, it
         # a step inside the Dikin ellipsoid (decrement < 1) keeps S positive
         # definite; the halving only absorbs rounding
@@ -214,27 +245,26 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
         x, t, w, v = x_new, t_new, w_new, v_new
         if centred:
             mu /= BARRIER_SHRINK
-    if lift is not None or stop < problem.max_iter:
+    if not final or stop < problem.max_iter:
         return None, stop
-    residual = _residual(_psd_part(w + t, v), target)
+    residual = _residual(_lift(lift, _psd_part(w + t, v)), target)
     return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, stop), stop
 
 
 def decide(problem: ExtensionProblem, vectors: np.ndarray, rank: int) -> OracleResult:
-    """The target's face at Choi rank 2 or 3, then the full space.
+    """The target's face at Choi rank 2 or 3, then the full space, the face
+    of rank 4.
 
     At rank 2 the full space's start point comes first: it proves most
     infeasible rank-2 targets at once (195 of 267 among the first 2000
     items of ``perfbench`` stream 1, against 7 of 79 at rank 3).
     """
-    # A itself, from x0 = P_A(target (x) I/2)
-    x0 = _project_affine(_tensor_eye(problem.target / 2.0), problem.target)
-    full = ((x0 + linalg.dagger(x0)) / 2.0, *_extension_directions(), None)
+    full = face_search(problem.target, vectors, 4)
     result, steps = None, 0
     if rank == 2:
-        result, _ = barrier(problem, full, stop=0)
+        result, _ = barrier(problem, full, stop=0, final=True)
     if result is None and rank in (2, 3):
         face = face_search(problem.target, vectors, rank)
         if face is not None:
             result, steps = barrier(problem, face)
-    return result if result is not None else barrier(problem, full, start=steps)[0]
+    return result if result is not None else barrier(problem, full, start=steps, final=True)[0]

@@ -54,6 +54,10 @@ TP_TOL = 1e-10
 #: of every verdict margin (the Boundary half-width).
 DEFAULT_TOL = 1e-9
 
+#: Largest off-diagonal |T_ij| of a transfer block that counts as diagonal
+#: (:meth:`PauliTransfer.is_diagonal`, :func:`bloch_from_choi`).
+_DIAGONAL_TOL = 1e-10
+
 #: Every tol must lie below this. The top eigenvalue of a Choi spectrum is at
 #: least tr(C) / 4, so a rank cutoff tol * tr(C) below it keeps the rank >= 1.
 TOL_LIMIT = 0.25
@@ -180,11 +184,11 @@ class PauliTransfer:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "T", T)
 
-    def is_diagonal(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.T - np.diag(np.diag(self.T)))) <= tol)
+    def is_diagonal(self) -> bool:
+        return bool(np.max(np.abs(self.T - np.diag(np.diag(self.T)))) <= _DIAGONAL_TOL)
 
-    def as_bloch(self, tol: float = 1e-10) -> BlochParams:
-        if not self.is_diagonal(tol):
+    def as_bloch(self) -> BlochParams:
+        if not self.is_diagonal():
             raise InvalidParameter("transfer block is not diagonal")
         return BlochParams(t=self.t, lam=np.diag(self.T))
 
@@ -308,15 +312,15 @@ def transfer_from_choi(c: ChoiMatrix) -> PauliTransfer:
     return PauliTransfer(t=r[1:, 0], T=r[1:, 1:])
 
 
-def bloch_from_choi(c: ChoiMatrix, tol: float = 1e-10):
+def bloch_from_choi(c: ChoiMatrix):
     """Diagonal Bloch parameters when the transfer block is diagonal.
 
     Returns :class:`BlochParams` if the recovered T is diagonal within
-    ``tol``, otherwise the full :class:`PauliTransfer`.
+    ``_DIAGONAL_TOL`` (1e-10), otherwise the full :class:`PauliTransfer`.
     """
     tr = transfer_from_choi(c)
-    if tr.is_diagonal(tol):
-        return tr.as_bloch(tol)
+    if tr.is_diagonal():
+        return tr.as_bloch()
     return tr
 
 

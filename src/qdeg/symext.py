@@ -5,18 +5,19 @@ trace one), the oracle searches for an 8x8 extension on X (x) Y (x) Y'
 that is PSD, swap(Y, Y')-invariant and reproduces the target as its Y'
 marginal. If any symmetric extension exists, averaging it with its swap
 image gives one in the swap-invariant slice, so the search is restricted
-to the affine set A = {swap-invariant} ∩ {tr_Y' = target}, which
-``_project_affine`` projects onto in closed form. Its linear part is
-L = {swap-invariant} ∩ {tr_Y' = 0}; L's orthogonal complement holds the
-swap-antisymmetric matrices and every sym(B (x) I), because
-<sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
+to the affine set A = {swap-invariant} ∩ {tr_Y' = target}. Its linear
+part is L = {swap-invariant} ∩ {tr_Y' = 0}, of dimension 24; L's
+orthogonal complement holds the swap-antisymmetric matrices and every
+sym(B (x) I), because <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 
-``oracle_extendible`` builds an ``ExtensionProblem`` and hands it to
-``barrier_feasibility``, a log-det barrier method. L has dimension 24
-and an orthonormal basis B_1..B_24 in closed form: L = Herm(X) (x) L_YY',
-where L_YY' is spanned by sym(P_i (x) P_j) over the non-identity Pauli
-matrices. The extensions are X(z) = x0 + sum_k z_k B_k with
-x0 = P_A(target (x) I/2), and the method maximizes t subject to
+There are two entry points. ``qdeg oracle`` applies the CP gate at
+``--tol`` and hands ``ExtensionProblem(C/2, --oracle-tol, --max-iter)``
+to ``barrier_feasibility``, which eigendecomposes the target;
+``oracle_extendible`` applies the CP gate at its ``tol`` and hands the
+gate's Choi rank and eigenvectors to ``qdeg._barrier.decide``. Both run
+one log-det barrier method. On a search space with orthonormal free
+directions B_1..B_m, the extensions are X(z) = x0 + sum_k z_k B_k, with
+x0 the least-norm point of A, and the method maximizes t subject to
 S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
 the iterates centre. Both answers carry a certificate:
 
@@ -53,17 +54,23 @@ Soc. 30, 1981) removes that degeneracy at ranks 2 and 3. V is
 swap-invariant, so it splits into a swap-symmetric and an antisymmetric
 part, and every swap-invariant X supported on V is Q Y Q^dag, with Q an
 orthonormal basis of V adapted to the split and Y block-diagonal. On the
-face, A is the set of such Y with tr_Y'(Q Y Q^dag) = target, and the same
-barrier runs on Y (``qdeg._barrier``). For a generic target dim V = 2 rank - 2:
-at rank 2 that set is one point, a witness when it is PSD, after 0 Newton
-steps; at rank 3 the barrier runs on 4x4 matrices Y. A face witness is
-lifted to 8x8 and accepted by the residual rule above. The face is ruled
-out when its one point is not PSD, when the certificate above, built on
-the face, proves that it holds no PSD point, or when the centred bound
-t + dim(V) mu falls below 0; the full space then decides as at ranks 1
-and 4, where V is {0} or all of the symmetric subspace. At rank 2 the full
-space's start point is checked first, since it proves most infeasible
-rank-2 targets at once.
+face, A is the set of such Y with tr_Y'(Q Y Q^dag) = target, and the
+barrier runs on Y; its witness and certificate are lifted to 8x8 as
+Q Y Q^dag and Q W Q^dag. One builder, ``qdeg._barrier.face_search``, makes
+every search space. The full space is the face of a full-rank target:
+R = C^4 with the basis I, V = C^8, Q the unitary that splits C^8 into its
+6 swap-symmetric and 2 antisymmetric directions, and 24 free directions
+spanning L. That geometry is the same for every target, so it is built
+once, on first use, and a target adds only its x0, which is
+P_A(target (x) I/2) since target (x) I/2 lies in L⊥. For a generic target
+dim V = 2 rank - 2 below rank 4: at rank 2 the face's A is one point, a
+witness when it is PSD, after 0 Newton steps; at rank 3 the barrier runs
+on 4x4 matrices Y. A face witness is accepted by the residual rule above.
+The face is ruled out when its one point is not PSD, when the certificate
+above, built on the face, proves that it holds no PSD point, or when the
+centred bound t + dim(V) mu falls below 0; the full space then decides,
+as it does at ranks 1 and 4. At rank 2 the full space's start point is
+checked first, since it proves most infeasible rank-2 targets at once.
 
 R is spanned by the eigenvectors above the Choi-rank cutoff of
 ``channels.rank_and_cp``. So a target whose smallest eigenvalue lies in
@@ -74,21 +81,17 @@ has none.
 
 The analytic Choi-spectrum inequality is the authority; this oracle
 cross-validates it with a verifiable certificate in both directions.
-
-``SWAP_YYP`` is the swap as an explicit permutation matrix: the reference
-that the tests check ``_swap`` and every witness against.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .channels import PAULI_BASIS, PAULIS, I2, choi_rank, rank_and_cp, to_choi
+from .channels import I2, choi_rank, rank_and_cp, to_choi
 from .errors import InvalidDimension, NotPSD
 
 #: Default residual tolerance for declaring feasibility.
@@ -113,14 +116,7 @@ BARRIER_START_GAP = 1.0 / 32.0
 BARRIER_CENTRED = 1.0
 BARRIER_SHRINK = 50.0
 
-_SWAP4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
-#: Swap of the Y and Y' factors of X (x) Y (x) Y'.
-SWAP_YYP = np.kron(np.eye(2, dtype=np.complex128), _SWAP4)
-
 _EYE4 = np.eye(4)
-_EYE8 = np.eye(8, dtype=np.complex128)
 _I2_AXES = I2.reshape(1, 2, 1, 2)
 
 
@@ -151,7 +147,13 @@ class ExtensionProblem:
         # channel the default refuses. Below -tol no PSD extension has its
         # marginal within tol of the target, so no witness can pass; a target
         # with eigenvalues in [-tol, 0) is searched on the face of its PSD
-        # part (see the module docstring).
+        # part (see the module docstring). The gate does real work: when the
+        # PSD part of a target below it is extendible, the face holds PSD
+        # points but no witness within tol, so the face barrier runs to the
+        # step cap. With the gate removed, 1400 targets (a Haar eigenbasis,
+        # one eigenvalue from -1.01e-7 to -0.5, three Dirichlet(1, 1, 1)
+        # weights) ended 987 INCONCLUSIVE at a 2000-step cap, 59 raised
+        # NumericalFailure and 354 were certified infeasible.
         # A Cholesky factor of target + tol I accepts; the spectrum decides
         # the rest, so an oracle call eigendecomposes only the Choi matrix.
         try:
@@ -180,7 +182,7 @@ class OracleResult:
 
 
 def _swap(m: np.ndarray) -> np.ndarray:
-    """``SWAP_YYP @ m @ SWAP_YYP`` as a permutation of tensor axes."""
+    """swap(Y, Y') m swap(Y, Y') as a permutation of tensor axes."""
     return m.reshape(2, 2, 2, 2, 2, 2).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
 
 
@@ -190,85 +192,42 @@ def _tensor_eye(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * _I2_AXES).reshape(2 * rows, 2 * cols)
 
 
-def _norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(m, m).real))
-
-
 def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The PSD projection of the Hermitian matrix with eigenpairs (w, v)."""
     out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
     return (out + linalg.dagger(out)) / 2.0
 
 
-def symmetrize_swap(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the swap(Y, Y')-invariant subspace."""
-    return (m + _swap(m)) / 2.0
-
-
-def _project_affine(m: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Exact projection onto A = {swap-invariant} ∩ {tr_Y' = target}.
-
-    For swap-invariant input the correction solving both constraints at
-    once is sym((delta - tr_Y(delta) (x) I/4) (x) I); for general input
-    the symmetrization is applied first.
-    """
-    x = symmetrize_swap(m)
-    delta = target - linalg._partial_trace(x, 4, 2, 1)
-    w = delta - _tensor_eye(linalg._partial_trace(delta, 2, 2, 1)) / 4.0
-    return x + symmetrize_swap(_tensor_eye(w))
-
-
 def _residual(y: np.ndarray, target: np.ndarray) -> float:
     """Constraint residual of a PSD iterate: both marginals and swap symmetry."""
     sy = _swap(y)
-    r1 = _norm(linalg._partial_trace(y, 4, 2, 1) - target)
-    r2 = _norm(linalg._partial_trace(sy, 4, 2, 1) - target)
-    r3 = _norm(y - sy)
+    r1 = linalg.frobenius(linalg._partial_trace(y, 4, 2, 1) - target)
+    r2 = linalg.frobenius(linalg._partial_trace(sy, 4, 2, 1) - target)
+    r3 = linalg.frobenius(y - sy)
     return max(r1, r2, r3)
-
-
-@functools.cache
-def _extension_directions() -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of L and the barrier's search directions, built once.
-
-    L is Herm(X) (x) L_YY', where L_YY' is spanned by sym(P_i (x) P_j) for
-    Pauli matrices P_i, P_j != I: swap invariance pairs the Pauli
-    coefficients of Y and Y', and a zero Y' marginal removes every term
-    with an identity factor (dimension 4 * 6 = 24). Returns ``(basis,
-    directions)``: ``basis`` is a read-only (24, 128) real array whose rows
-    are the real views of the orthonormal B_1..B_24 (orthonormal under
-    Re tr(A^dag B)); ``directions`` is the (25, 8, 8) stack B_1..B_24, -I
-    along which X(z) - t I moves.
-    """
-    pairs = [np.kron(p, q) + np.kron(q, p) for i, p in enumerate(PAULIS) for q in PAULIS[i:]]
-    units = [np.kron(a, k) for a in PAULI_BASIS for k in pairs]
-    stack = np.stack([u / _norm(u) for u in units])
-    basis = stack.view(np.float64).reshape(len(units), 128)
-    directions = np.concatenate([stack, -_EYE8[None]])
-    basis.setflags(write=False)
-    directions.setflags(write=False)
-    return basis, directions
 
 
 def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     """Log-det barrier path-following search for a symmetric extension.
 
     Maximizes t subject to X(z) - t I being positive definite over the
-    affine set A = {X(z) = x0 + sum_k z_k B_k}, with x0 = P_A(target (x) I/2)
-    and B an orthonormal basis of L. Each iteration is one (possibly
-    damped) Newton step on -t/mu - log det(X - t I), and ``iterations``
-    counts these steps; mu is divided by BARRIER_SHRINK after every step
-    taken from a centred point. The start point and every iterate are
-    checked for both proofs, so a target whose x0 is already positive
-    definite returns x0 after 0 steps:
+    affine set A = {X(z) = x0 + sum_k z_k B_k}, with x0 the least-norm
+    point of A and B an orthonormal basis of L. Each iteration is one
+    (possibly damped) Newton step on -t/mu - log det(X - t I), and
+    ``iterations`` counts these steps; mu is divided by BARRIER_SHRINK
+    after every step taken from a centred point. The start point and every
+    iterate are checked for both proofs, so a target whose x0 is already
+    positive definite returns x0 after 0 steps:
 
     - FEASIBLE: X itself once it is positive definite, or its PSD
       projection once that projection's residual is at most ``tol``.
     - INFEASIBLE: W = P_{L^perp}(mu S^-1) + c I, with S = X - t I and c
       lifting W to PSD, once <W, x0> < -CERT_RTOL * max(1, ||W||_F).
 
-    At Choi rank 2 or 3 the same method first runs on the target's face
-    (see the module docstring), whose steps count in ``iterations``; a
+    The target is eigendecomposed once: its Choi rank
+    (``channels.rank_and_cp``) routes it, and at rank 2 or 3 its
+    eigenvectors give the face on which the same method runs first (see
+    the module docstring). Steps there count in ``iterations``, and a
     witness found there is lifted to 8x8 and accepted by the same residual
     rule. A run with neither proof ends INCONCLUSIVE at
     ``problem.max_iter`` steps, with the residual of the last iterate's
@@ -282,8 +241,10 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
 
 def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_MAX_ITER) -> OracleResult:
     """Decide symmetric extendibility of a channel's Choi matrix c, in any
-    representation (normalized to c/2), with ``barrier_feasibility``, at
-    every Choi rank. The face comes from the spectrum of the CP gate.
+    representation (normalized to c/2), with the barrier method of
+    ``barrier_feasibility``, at every Choi rank. The CP gate's spectrum
+    gives the route and the face, so the target is not eigendecomposed
+    again.
 
     Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
     (:func:`~qdeg.channels.choi_rank`), as every other entry point does.

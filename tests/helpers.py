@@ -26,6 +26,11 @@ BELL_F = np.array(
 SWAP_YYP = np.eye(8, dtype=np.complex128)[[0, 2, 1, 3, 4, 6, 5, 7]]
 
 
+def symmetrize_swap(m: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the swap(Y, Y')-invariant matrices."""
+    return (m + SWAP_YYP @ m @ SWAP_YYP) / 2.0
+
+
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization: ``vec(A)[j * rows + i] == A[i, j]``."""
     return np.asarray(a, dtype=np.complex128).reshape(-1, order="F")

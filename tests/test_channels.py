@@ -255,6 +255,18 @@ class TestBloch:
         r = bloch_from_choi(choi_from_kraus(KrausSet((u,))))
         assert isinstance(r, PauliTransfer)
 
+    def test_diagonal_cutoff(self):
+        # an off-diagonal T entry of at most 1e-10 counts as diagonal
+        for off, diagonal in ((0.5e-10, True), (2e-10, False)):
+            T = np.diag([0.5, 0.4, 0.3])
+            T[0, 1] = off
+            tr = PauliTransfer(t=np.zeros(3), T=T)
+            assert tr.is_diagonal() is diagonal
+            assert isinstance(bloch_from_choi(choi_from_transfer(tr.t, tr.T)), BlochParams) is diagonal
+            if not diagonal:
+                with pytest.raises(InvalidParameter):
+                    tr.as_bloch()
+
 
 class TestBellBasis:
     def test_identity_channel(self):

@@ -11,11 +11,13 @@ from helpers import (
     H4,
     H8,
     L_BASIS,
+    SWAP_YYP,
     coords,
     random_channel,
     random_density,
     random_hermitian,
     random_unitary,
+    symmetrize_swap,
     trace_last_qubit,
     verify_certificate,
     verify_witness,
@@ -36,17 +38,13 @@ from qdeg.errors import InvalidDimension, NotAChannel, NotPSD
 from qdeg._barrier import face_search
 from qdeg.linalg import _partial_trace
 from qdeg.symext import (
-    SWAP_YYP,
     ExtensionProblem,
     OracleStatus,
     barrier_feasibility,
     oracle_extendible,
-    _extension_directions,
-    _project_affine,
     _psd_part,
     _swap,
     _tensor_eye,
-    symmetrize_swap,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -108,9 +106,16 @@ class TestProjectPsd:
             assert abs(np.linalg.norm(m - project_psd(m)) - expected) <= 1e-10
 
 
+def full_face(target):
+    """The full space's search, the face of R = C^4, with its start point lifted to 8x8."""
+    x0, basis, directions, q = face_search(target, np.eye(4), 4)
+    return q @ x0 @ q.conj().T, basis, directions, q
+
+
 class TestProjectMarginal:
-    """``_project_affine``, the joint projection onto the marginal constraint
-    and swap invariance (the set A), which builds every barrier start point."""
+    """The full space's start point x0, the least-norm point of the affine
+    set A (the marginal constraint and swap invariance), from which the
+    barrier searches every target."""
 
     def _target(self, rng):
         return random_density(rng, 4)
@@ -122,40 +127,17 @@ class TestProjectMarginal:
         rng = np.random.default_rng(17)
         for _ in range(20):
             t = self._target(rng)
-            p = _project_affine(random_hermitian(rng, 8), t)
+            p = full_face(t)[0]
             assert np.linalg.norm(CONSTRAINT_MATRIX @ coords(p, H8) - self._rhs(t)) <= 1e-13
             assert np.linalg.norm(p - p.conj().T) <= 1e-15
-
-    def test_satisfying_input_unchanged(self):
-        rng = np.random.default_rng(2)
-        t = self._target(rng)
-        coords = np.linalg.lstsq(CONSTRAINT_MATRIX, self._rhs(t), rcond=None)[0]
-        coords += L_BASIS @ rng.normal(size=L_BASIS.shape[1])
-        m = sum(c * b for c, b in zip(coords, H8))
-        assert np.linalg.norm(_project_affine(m, t) - m) <= 1e-13
-
-    def test_product_case(self):
-        # swap-invariant a (x) s (x) s onto the target a (x) b: only the
-        # Y and Y' factors move, by sym((b - s) (x) I)
-        rng = np.random.default_rng(3)
-        a, b, s = random_density(rng, 2), random_density(rng, 2), random_density(rng, 2)
-        out = _project_affine(np.kron(a, np.kron(s, s)), np.kron(a, b))
-        yy = np.kron(s, s) + (np.kron(b - s, I2) + np.kron(I2, b - s)) / 2
-        assert np.linalg.norm(out - np.kron(a, yy)) <= 1e-14
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(4)
-        t = self._target(rng)
-        m = random_hermitian(rng, 8)
-        once = _project_affine(m, t)
-        assert np.linalg.norm(_project_affine(once, t) - once) <= 1e-14
+            least = np.linalg.lstsq(CONSTRAINT_MATRIX, self._rhs(t), rcond=None)[0]
+            assert np.linalg.norm(coords(p, H8) - least) <= 1e-13
 
     def test_residual_orthogonal_to_constraint_set(self):
+        # x0 is the projection of 0 onto A: its move from 0 is orthogonal to L
         rng = np.random.default_rng(5)
         for _ in range(20):
-            t = self._target(rng)
-            m = random_hermitian(rng, 8)
-            moved = coords(m - _project_affine(m, t), H8)
+            moved = coords(full_face(self._target(rng))[0], H8)
             assert np.linalg.norm(L_BASIS.T @ moved) <= 1e-13
 
 
@@ -330,10 +312,14 @@ def _decided_with_proof(r, target):
 
 class TestBarrier:
     def test_basis_is_orthonormal_basis_of_l(self):
-        basis, directions = _extension_directions()
+        # the full space is the face of R = C^4: its 24 free directions,
+        # lifted by the unitary Q, are an orthonormal basis of L
+        _, basis, directions, q = full_face(np.eye(4, dtype=complex) / 4)
         assert basis.shape == (24, 128) and directions.shape == (25, 8, 8)
         assert np.linalg.norm(basis @ basis.T - np.eye(24)) <= 1e-13
-        cols = np.array([coords(b, H8) for b in directions[:24]]).T
+        cols = np.array([coords(q @ d @ q.conj().T, H8) for d in directions[:24]]).T
+        assert L_BASIS.shape[1] == 24
+        assert np.linalg.norm(cols.T @ cols - np.eye(24)) <= 1e-13
         assert np.linalg.norm(L_BASIS @ (L_BASIS.T @ cols) - cols) <= 1e-13
         assert np.array_equal(directions[24], -np.eye(8))
 
@@ -420,16 +406,17 @@ class TestBarrier:
             _decided_with_proof(r, target)
 
     def test_cold_import_builds_no_basis(self):
-        # the import must not build the barrier basis (oracle-mixed setup time
-        # pays for it), the first call builds it once, and the package must
-        # not pull in scipy
+        # the import must not build the full space's geometry (oracle-mixed
+        # setup time pays for it), the first call builds it once, and the
+        # package must not pull in scipy
         code = (
             "import sys, qdeg\n"
-            "from qdeg import symext\n"
-            "assert symext._extension_directions.cache_info().currsize == 0\n"
+            "from qdeg import _barrier\n"
+            "assert _barrier._full_face.cache_info().currsize == 0\n"
             "r = qdeg.oracle_extendible(qdeg.choi_from_kraus(qdeg.rank2(1.0, 0.2)))\n"
             "assert r.status.value != 'inconclusive', r\n"
-            "info = symext._extension_directions.cache_info()\n"
+            "qdeg.oracle_extendible(qdeg.choi_from_kraus(qdeg.depolarizing(0.4)))\n"
+            "info = _barrier._full_face.cache_info()\n"
             "assert (info.currsize, info.misses) == (1, 1), info\n"
             "assert 'scipy' not in sys.modules\n"
         )
@@ -440,25 +427,29 @@ class TestBarrier:
 
 
 class TestFace:
-    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_face_of_a_channel(self, rank):
-        # V = (R (x) C^2) ∩ swap(R (x) C^2) has dimension 2 rank - 2, is
-        # annihilated by every exposing sym(u u^dag (x) I), and A restricted
-        # to it is one point at rank 2 and has 7 free directions at rank 3
+        # V = (R (x) C^2) ∩ swap(R (x) C^2) has dimension 2 rank - 2 below
+        # rank 4, is annihilated by every exposing sym(u u^dag (x) I), and A
+        # restricted to it is one point at rank 2 and has 7 free directions
+        # at rank 3; at rank 4 V is C^8, whose swap-antisymmetric part
+        # |x> (x) singlet comes last, and A has 24 free directions
         rng = np.random.default_rng(30 + rank)
+        swap_signs = {2: [1] * 2, 3: [1] * 4, 4: [1] * 6 + [-1] * 2}[rank]
         for _ in range(20):
             target = choi_from_kraus(random_channel(rng, env_dim=rank)).matrix / 2
             _, v = np.linalg.eigh(target)
             x0, _, directions, q = face_search(target, v, rank)
-            assert q.shape == (8, 2 * rank - 2)
-            assert np.linalg.norm(q.conj().T @ q - np.eye(2 * rank - 2)) <= 1e-12
-            assert np.linalg.norm(SWAP_YYP @ q - q) <= 1e-12
+            dim = len(swap_signs)
+            assert q.shape == (8, dim)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(dim)) <= 1e-12
+            assert np.linalg.norm(SWAP_YYP @ q - q * swap_signs) <= 1e-12
             for u in v[:, : 4 - rank].T:
                 w_u = symmetrize_swap(np.kron(np.outer(u, u.conj()), I2))
                 assert np.linalg.norm(w_u @ q) <= 1e-12
             x = q @ x0 @ q.conj().T
             assert np.linalg.norm(trace_last_qubit(x) - target) <= 1e-12
-            assert len(directions) - 1 == {2: 0, 3: 7}[rank]
+            assert len(directions) - 1 == {2: 0, 3: 7, 4: 24}[rank]
             for d in directions[:-1]:
                 assert np.linalg.norm(trace_last_qubit(q @ d @ q.conj().T)) <= 1e-12
                 assert abs(np.vdot(d, x0)) <= 1e-12
