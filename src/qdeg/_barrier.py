@@ -152,11 +152,9 @@ def _lift(q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y + linalg.dagger(y)) / 2.0
 
 
-def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
-            stop: int | None = None, final: bool = False) -> tuple[OracleResult | None, int]:
+def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[OracleResult | None, int]:
     """The barrier on ``search``, counting its Newton steps from ``start``
-    and checking its iterates for proofs up to step ``stop`` (default
-    ``problem.max_iter``).
+    up to ``problem.max_iter``.
 
     ``search = (x0, basis, directions, lift)`` is an affine set
     {x0 + sum_k z_k D_k} from ``face_search``: ``basis`` holds the real
@@ -164,17 +162,18 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
     D_1..D_m, -I, and ``lift`` is Q, which maps a point Y of the set to its
     8x8 extension Q Y Q^dag.
 
-    Returns ``(result, steps)``. A ``final`` run (the full space) ends
-    FEASIBLE, INFEASIBLE with the certificate lifted as Q W Q^dag or, at
-    ``problem.max_iter``, INCONCLUSIVE. Any other run ends with a FEASIBLE
-    witness or None: the face is ruled out when its one point is not a
-    witness, when its dual certificate proves it empty or when a centred
-    bound t + dim(V) mu falls below 0. The result is also None at a
-    ``stop`` below the cap, or at the cap when the run is not final.
+    Returns ``(result, steps)``. A run in the full space, the only search
+    of dimension 8 (a face of a rank-r target has dimension <= 2r <= 6),
+    ends FEASIBLE, INFEASIBLE with the certificate lifted as Q W Q^dag or,
+    at the cap, INCONCLUSIVE. A run on a face ends with a FEASIBLE witness
+    or None: the face is ruled out when its one point is not a witness,
+    when its dual certificate proves it empty or when a centred bound
+    t + dim(V) mu falls below 0, and left open at the cap.
     """
-    target, tol = problem.target, problem.tol
+    target, tol, cap = problem.target, problem.tol, problem.max_iter
     x0, basis, directions, lift = search
     k, n = len(x0), len(directions)
+    final = k == 8
     eye = np.eye(k, dtype=np.complex128)
     flat = directions.view(np.float64).reshape(n, 2 * k * k)
     x = x0
@@ -183,8 +182,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
     t = float(w[0]) - BARRIER_START_GAP
     w = w - t
     mu = 1.0 / float((1.0 / w).sum())
-    stop = problem.max_iter if stop is None else stop
-    for it in range(start, stop + 1):
+    for it in range(start, cap + 1):
         lam_x = w + t  # the spectrum of X
         # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
         # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
@@ -210,7 +208,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
                 residual = _residual(_lift(lift, _psd_part(lam_x, v)), target)
                 return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
                                     certificate=_lift(lift, cert)), it
-        if it == stop:
+        if it == cap:
             break
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
         # A_k = D_1..D_m, -I: grad_k = -tr(S^-1 A_k) (-1/mu more for t) and
@@ -245,26 +243,20 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0,
         x, t, w, v = x_new, t_new, w_new, v_new
         if centred:
             mu /= BARRIER_SHRINK
-    if not final or stop < problem.max_iter:
-        return None, stop
+    if not final:
+        return None, cap
     residual = _residual(_lift(lift, _psd_part(w + t, v)), target)
-    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, stop), stop
+    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, cap), cap
 
 
 def decide(problem: ExtensionProblem, vectors: np.ndarray, rank: int) -> OracleResult:
-    """The target's face at Choi rank 2 or 3, then the full space, the face
-    of rank 4.
-
-    At rank 2 the full space's start point comes first: it proves most
-    infeasible rank-2 targets at once (195 of 267 among the first 2000
-    items of ``perfbench`` stream 1, against 7 of 79 at rank 3).
-    """
-    full = face_search(problem.target, vectors, 4)
+    """The target's face at Choi rank 2 or 3; the full space, the face of
+    rank 4, for whatever the face leaves open and at ranks 1 and 4."""
     result, steps = None, 0
-    if rank == 2:
-        result, _ = barrier(problem, full, stop=0, final=True)
-    if result is None and rank in (2, 3):
+    if rank in (2, 3):
         face = face_search(problem.target, vectors, rank)
         if face is not None:
             result, steps = barrier(problem, face)
-    return result if result is not None else barrier(problem, full, start=steps, final=True)[0]
+    if result is None:
+        result, _ = barrier(problem, face_search(problem.target, vectors, 4), start=steps)
+    return result

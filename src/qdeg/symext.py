@@ -13,8 +13,9 @@ sym(B (x) I), because <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 There are two entry points. ``qdeg oracle`` applies the CP gate at
 ``--tol`` and hands ``ExtensionProblem(C/2, --oracle-tol, --max-iter)``
 to ``barrier_feasibility``, which eigendecomposes the target;
-``oracle_extendible`` applies the CP gate at its ``tol`` and hands the
-gate's Choi rank and eigenvectors to ``qdeg._barrier.decide``. Both run
+``oracle_extendible`` applies the CP gate at ``channels.DEFAULT_TOL`` and
+hands the gate's Choi rank and eigenvectors to ``qdeg._barrier.decide``;
+its ``tol`` is the witness-residual tolerance. Both run
 one log-det barrier method. On a search space with orthonormal free
 directions B_1..B_m, the extensions are X(z) = x0 + sum_k z_k B_k, with
 x0 the least-norm point of A, and the method maximizes t subject to
@@ -69,8 +70,7 @@ on 4x4 matrices Y. A face witness is accepted by the residual rule above.
 The face is ruled out when its one point is not PSD, when the certificate
 above, built on the face, proves that it holds no PSD point, or when the
 centred bound t + dim(V) mu falls below 0; the full space then decides,
-as it does at ranks 1 and 4. At rank 2 the full space's start point is
-checked first, since it proves most infeasible rank-2 targets at once.
+as it does at ranks 1 and 4.
 
 R is spanned by the eigenvectors above the Choi-rank cutoff of
 ``channels.rank_and_cp``. So a target whose smallest eigenvalue lies in
@@ -86,13 +86,14 @@ cross-validates it with a verifiable certificate in both directions.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .channels import I2, choi_rank, rank_and_cp, to_choi
-from .errors import InvalidDimension, NotPSD
+from .errors import InvalidDimension, InvalidParameter, NotPSD
 
 #: Default residual tolerance for declaring feasibility.
 ORACLE_TOL = 1e-7
@@ -128,13 +129,19 @@ class OracleStatus(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ExtensionProblem:
-    """Feasibility instance: find a symmetric extension of ``target``."""
+    """Feasibility instance: find a symmetric extension of ``target``.
+    ``tol`` must be finite and > 0 and ``max_iter`` an integer >= 1."""
 
     target: np.ndarray
     tol: float = ORACLE_TOL
     max_iter: int = ORACLE_MAX_ITER
 
     def __post_init__(self):
+        # the CLI's rules; a bool is Integral, but no step count
+        if not (isinstance(self.tol, numbers.Real) and np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidParameter(f"tol must be a finite number > 0, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidParameter(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         m = linalg.as_matrix(self.target)
         if m.shape != (4, 4):
             raise InvalidDimension(f"target must be 4x4, got {m.shape}")

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -34,8 +35,8 @@ from qdeg.channels import (
     rank2,
 )
 from qdeg.classify import antidegradable_test
-from qdeg.errors import InvalidDimension, NotAChannel, NotPSD
-from qdeg._barrier import face_search
+from qdeg.errors import InvalidDimension, InvalidParameter, NotAChannel, NotPSD
+from qdeg._barrier import barrier, face_search
 from qdeg.linalg import _partial_trace
 from qdeg.symext import (
     ExtensionProblem,
@@ -175,6 +176,26 @@ class TestExtensionProblem:
         m = np.diag([0.5 + 2e-3, 0.5, 0.0, -2e-3]).astype(complex)
         with pytest.raises(NotPSD, match=r"minimum eigenvalue -0\.002 is below -tol = -0\.001$"):
             ExtensionProblem(target=m, tol=1e-3)
+
+    # before the checks, max_iter -1 answered INCONCLUSIVE at -1 steps for a
+    # target whose start point is a witness, tol -1 raised NotPSD and tol
+    # nan NumericalFailure
+    @pytest.mark.parametrize("name, value", [
+        ("max_iter", -1), ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
+        ("tol", -1.0), ("tol", float("nan")), ("tol", 0.0),
+    ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_parameters_checked(self, name, value):
+        with pytest.raises(InvalidParameter, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+            ExtensionProblem(target=np.eye(4, dtype=complex) / 4, **{name: value})
+
+    def test_numpy_integer_max_iter(self):
+        r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4, max_iter=np.int64(1)))
+        assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
+
+    def test_oracle_zero_tol_rejected(self):
+        # it ran 20 000 steps to INCONCLUSIVE
+        with pytest.raises(InvalidParameter, match=r"got 0\.0$"):
+            oracle_extendible(depolarizing(0.4), tol=0.0)
 
 
 class TestOracle:
@@ -332,6 +353,29 @@ class TestBarrier:
             r = oracle_extendible(c)
             ref = barrier_feasibility(ExtensionProblem(target=c.matrix / 2))
             assert (r.status, r.iterations) == (ref.status, ref.iterations)
+
+    def test_rank2_face_costs_no_step(self):
+        # a rank-2 target goes to its one-point face first: a witness there
+        # answers at 0 steps, and otherwise the full space answers alone
+        rng = np.random.default_rng(23)
+        on_face = 0
+        for _ in range(40):
+            c = choi_from_kraus(random_channel(rng, env_dim=2))
+            problem = ExtensionProblem(target=c.matrix / 2)
+            vectors = c.eigen.eigenvectors
+            face = face_search(problem.target, vectors, 2)
+            assert len(face[2]) == 1  # one point: its only direction is -I
+            r = oracle_extendible(c)
+            result, steps = barrier(problem, face)
+            assert steps == 0
+            if result is None:
+                full, _ = barrier(problem, face_search(problem.target, vectors, 4))
+                assert (r.status, r.iterations) == (full.status, full.iterations)
+            else:
+                assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
+                verify_witness(r.witness, problem.target)
+                on_face += 1
+        assert 0 < on_face < 40
 
     @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
     def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
