@@ -111,6 +111,13 @@ class KrausSet:
 class ChoiMatrix:
     """4x4 Choi matrix on input (x) output, trace 2.
 
+    ``ChoiMatrix(m)`` checks a user's matrix by :func:`validate_choi` and
+    keeps its Hermitian part. The conversions (:func:`to_choi`) build theirs
+    from parameters already checked where they entered, with stack builders
+    whose output is Hermitian and trace-preserving by construction, so they
+    check only that its entries are finite before taking the same
+    Hermitian part.
+
     The matrix is read-only, so its eigendecomposition is computed once,
     on first use, and shared by every verdict through :attr:`eigen`.
     """
@@ -130,11 +137,34 @@ class ChoiMatrix:
         return linalg._eigh(self.matrix)
 
 
+def _built_choi(m: np.ndarray) -> ChoiMatrix:
+    """The :class:`ChoiMatrix` of a 4x4 matrix that a stack builder made from
+    checked parameters. It is exactly Hermitian and trace-preserving by
+    construction, so of :func:`validate_choi` two steps are left: rejecting
+    entries that overflowed, and the Hermitian part. That part equals m in
+    value but can flip the sign of a zero, which the eigensolver's
+    reflections carry into the last bit of a margin.
+    """
+    m = linalg.as_matrix(m)
+    m = (m + m.conj().T) / 2.0
+    m.setflags(write=False)
+    c = object.__new__(ChoiMatrix)
+    object.__setattr__(c, "matrix", m)
+    return c
+
+
 def validate_choi(m) -> np.ndarray:
     """Hermitian part of a Choi matrix, or of each matrix of an
     ``(..., 4, 4)`` stack, after the shape, Hermiticity and
     trace-preservation checks (the output marginal must be I within
     :data:`TP_TOL`). Errors name the failing residual and stack row.
+
+    This is the check for matrices from outside: ``ChoiMatrix(m)`` and the
+    grid of ``qdeg sweep``. The stack builders (:func:`kraus_to_choi`,
+    :func:`bloch_to_choi`, :func:`transfer_to_choi`) return matrices that
+    are exactly Hermitian, and trace-preserving because their Kraus sets
+    passed the completeness check or their transfer matrices have the first
+    row (1, 0, 0, 0); this check changes no value of those.
     """
     m = linalg.as_matrix(m, stacked=True)
     if m.shape[-2:] != (4, 4):
@@ -222,7 +252,7 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     """Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` of a qubit channel."""
     if k.out_dim != 2:
         raise InvalidDimension("choi_from_kraus expects 2x2 Kraus operators")
-    return ChoiMatrix(kraus_to_choi(np.array(k.operators)))
+    return _built_choi(kraus_to_choi(np.array(k.operators)))
 
 
 def kraus_to_choi(ops: np.ndarray) -> np.ndarray:
@@ -272,12 +302,12 @@ def choi_from_transfer(t, T) -> ChoiMatrix:
     r = np.eye(4)
     r[1:, 0] = np.reshape(t, 3)
     r[1:, 1:] = np.reshape(T, (3, 3))
-    return ChoiMatrix(transfer_to_choi(r))
+    return _built_choi(transfer_to_choi(r))
 
 
 def choi_from_bloch(b: BlochParams) -> ChoiMatrix:
     """Choi matrix of the diagonal Pauli-basis channel (t, lam)."""
-    return ChoiMatrix(bloch_to_choi(b.t, b.lam))
+    return _built_choi(bloch_to_choi(b.t, b.lam))
 
 
 def bloch_to_choi(t, lam) -> np.ndarray:
@@ -294,7 +324,13 @@ def bloch_to_choi(t, lam) -> np.ndarray:
 
 
 def to_choi(channel) -> ChoiMatrix:
-    """The Choi matrix of a channel given in any supported representation."""
+    """The Choi matrix of a channel given in any supported representation.
+
+    Each representation is validated once, where it enters: a
+    :class:`ChoiMatrix`, :class:`KrausSet`, :class:`BlochParams` or
+    :class:`PauliTransfer` when it is built. The conversion checks only
+    that the matrix it builds is finite (see :func:`_built_choi`).
+    """
     if isinstance(channel, ChoiMatrix):
         return channel
     if isinstance(channel, KrausSet):
@@ -342,12 +378,15 @@ def rank_and_cp(eigenvalues, tol: float = DEFAULT_TOL):
     The rank counts the eigenvalues above ``tol * tr(C)``; C passes the CP
     gate when its minimum eigenvalue is at least ``-tol * max(1, ||C||_F)``.
     ``tr(C)`` and ``||C||_F`` are the sum and the 2-norm of the spectrum.
-    Returns ``(rank, cp)``, 0-d arrays for one spectrum. ``tol`` must pass
-    :func:`check_tol`.
+    A norm that overflows fails the gate: a trace-2 PSD spectrum has norm
+    at most 2. Returns ``(rank, cp)``, 0-d arrays for one spectrum.
+    ``tol`` must pass :func:`check_tol`.
     """
     check_tol(tol)
-    eigs = np.asarray(eigenvalues)
-    cp = eigs[..., 0] >= -tol * np.maximum(np.linalg.norm(eigs, axis=-1), 1.0)
+    eigs = np.asarray(eigenvalues, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(eigs * eigs, axis=-1))  # np.linalg.norm's arithmetic
+    cp = (eigs[..., 0] >= -tol * np.maximum(norm, 1.0)) & np.isfinite(norm)
     return np.sum(eigs > tol * np.sum(eigs, axis=-1)[..., None], axis=-1), cp
 
 

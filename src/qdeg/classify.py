@@ -34,13 +34,13 @@ from . import linalg
 from .channels import (
     DEFAULT_TOL,
     BlochParams,
+    ChoiMatrix,
     Rank2Params,
     choi_from_bloch,
     choi_rank,
     choi_to_transfer,
     depolarizing,
     not_a_channel,
-    phi_of_identity,
     rank_and_cp,
     to_choi,
     unital_spectrum,
@@ -116,37 +116,44 @@ class Margins(NamedTuple):
 def verdict_kernel(c: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> Margins:
     """Every Choi-spectrum margin of a validated Choi matrix or ``(..., 4, 4)`` stack.
 
-    ``c`` must have passed :func:`~qdeg.channels.validate_choi`.
+    ``c`` must have passed :func:`~qdeg.channels.validate_choi`, or come
+    from a conversion (:func:`~qdeg.channels.to_choi`).
     ``eigenvalues`` (ascending, last axis) are computed when not given.
     Rows outside the CP set get margins too; ``cp`` says which rows those are.
     """
-    eigs = linalg._eigvalsh(c) if eigenvalues is None else eigenvalues
+    return _kernel(c, tol, linalg._eigvalsh(c) if eigenvalues is None else eigenvalues)[0]
+
+
+def _kernel(c: np.ndarray, tol: float, eigs: np.ndarray) -> tuple[Margins, np.ndarray]:
+    """:func:`verdict_kernel` and the input marginal Phi(I) it reads."""
     rank, cp = rank_and_cp(eigs, tol)
     phi_i = linalg._partial_trace(c, 2, 2, traced=0)
-    tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
-    # det C is zero below rank 4; at rank 4 every eigenvalue is above tol * tr(C) > 0
-    det = np.where(rank == 4, np.prod(eigs, axis=-1), 0.0)
-    anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(det)
-    # rank 1 is unitary (degradable), rank >= 3 is not degradable; at rank 2
-    # the complement's margin follows from the spectrum (see degradable_test)
-    deg_rank2 = eigs[..., 3] ** 2 + eigs[..., 2] ** 2 - tr_phi2
+    # a row outside the CP set can overflow here; cp marks its margins
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_phi2 = np.einsum("...ij,...ji->...", phi_i, phi_i).real
+        # det C is zero below rank 4; at rank 4 every eigenvalue is above tol * tr(C) > 0
+        det = np.where(rank == 4, np.prod(eigs, axis=-1), 0.0)
+        anti = tr_phi2 - np.sum(eigs * eigs, axis=-1) + 4.0 * np.sqrt(det)
+        # rank 1 is unitary (degradable), rank >= 3 is not degradable; at rank 2
+        # the complement's margin follows from the spectrum (see degradable_test)
+        deg_rank2 = eigs[..., 3] ** 2 + eigs[..., 2] ** 2 - tr_phi2
     deg = np.where(rank == 2, deg_rank2, np.where(rank == 1, 1.0, 2.0 - rank))
     pt = linalg._partial_transpose(c, 2, 2, transposed=1)
     eb = linalg._eigvalsh(pt)[..., 0]
-    return Margins(anti, deg, eb, rank, cp, eigs[..., 0])
+    return Margins(anti, deg, eb, rank, cp, eigs[..., 0]), phi_i
 
 
-def cp_margins(channel, tol: float = DEFAULT_TOL) -> Margins:
+def cp_margins(channel, tol: float = DEFAULT_TOL) -> tuple[Margins, np.ndarray]:
     """The kernel on one channel, in any representation, and the cached
-    spectrum of its Choi matrix, behind the CP gate.
+    spectrum of its Choi matrix, behind the CP gate: its margins and Phi(I).
 
     Raises :class:`~qdeg.errors.NotAChannel` with the offending eigenvalue.
     """
     c = to_choi(channel)
-    m = verdict_kernel(c.matrix, tol, c.eigen.eigenvalues)
+    m, phi_i = _kernel(c.matrix, tol, c.eigen.eigenvalues)
     if not m.cp:
         raise not_a_channel(m.min_eig, c.matrix)
-    return m
+    return m, phi_i
 
 
 def antidegradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
@@ -157,7 +164,7 @@ def antidegradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
     zero below Choi rank 4 (:func:`~qdeg.channels.rank_and_cp`, the rank
     that :func:`classify` reports) and the product of the spectrum at rank 4.
     """
-    return Verdict.from_margin(cp_margins(channel, tol).anti, tol)
+    return Verdict.from_margin(cp_margins(channel, tol)[0].anti, tol)
 
 
 def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
@@ -183,7 +190,7 @@ def degradable_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
     eigenvalues. No complement is built, so any Kraus set of the channel,
     redundant or minimal, gives the same answer.
     """
-    return Verdict.from_margin(cp_margins(channel, tol).deg, tol)
+    return Verdict.from_margin(cp_margins(channel, tol)[0].deg, tol)
 
 
 def rank2_antidegradable(p: Rank2Params, tol: float = DEFAULT_TOL) -> Verdict:
@@ -260,7 +267,7 @@ def entanglement_breaking_test(channel, tol: float = DEFAULT_TOL) -> Verdict:
 
     margin = minimum eigenvalue of the partial transpose of C.
     """
-    return Verdict.from_margin(cp_margins(channel, tol).eb, tol)
+    return Verdict.from_margin(cp_margins(channel, tol)[0].eb, tol)
 
 
 def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
@@ -275,9 +282,14 @@ def self_complementary_test(channel, tol: float = DEFAULT_TOL) -> bool:
     """
     c = to_choi(channel)
     rank = choi_rank(c, tol)
-    lam, v = c.eigen.eigenvalues, c.eigen.eigenvectors
     if rank != 2:
         raise NotApplicable(f"self-complementarity needs Choi rank 2, got {rank}")
+    return _self_complementary(c, tol)
+
+
+def _self_complementary(c: ChoiMatrix, tol: float) -> bool:
+    """:func:`self_complementary_test` of a CP Choi matrix of rank 2."""
+    lam, v = c.eigen
     psi = (np.sqrt(lam[2:]) * v[:, 2:]).reshape(2, 2, 2)  # input, output, environment
     cc = np.einsum("ioe,jof->iejf", psi, psi.conj()).reshape(4, 4)
     bloch, bloch_c = choi_to_transfer(np.stack((c.matrix, cc)))[:, 1:]
@@ -340,13 +352,13 @@ def classify(channel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     channel gets the same answer; it is ``None`` at every other rank.
     """
     c = to_choi(channel)
-    m = cp_margins(c, tol)
+    m, phi_i = cp_margins(c, tol)
     rank = int(m.rank)
-    unital = linalg.frobenius(phi_of_identity(c) - I2) <= max(tol, 1e-10)
+    unital = linalg.frobenius(phi_i - I2) <= max(tol, 1e-10)
     return ClassificationReport(
         **{name: Verdict.from_margin(getattr(m, f), tol) for f, name in VERDICTS.items()},
         unital=bool(unital),
-        self_complementary=self_complementary_test(c, tol) if rank == 2 else None,
+        self_complementary=_self_complementary(c, tol) if rank == 2 else None,
         choi_rank=rank,
         cp=True,
     )

@@ -417,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # huge parameters overflow to values that the input checks and the CP
+        # gate reject with exit 2; numpy's warnings would only repeat that
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,6 +13,7 @@ import pytest
 
 from qdeg.channels import BlochParams, ChoiMatrix, KrausSet
 from qdeg.classify import classify
+from qdeg.symext import CERT_RTOL
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -304,7 +305,8 @@ def verify_certificate(w, target):
     w must be Hermitian, PSD, orthogonal to L (the linear part of A), and
     negative on A, checked at two distinct points of A. A rounding-level
     negative eigenvalue -e of w is absorbed as w + e I, which adds e to
-    <w, X> on A (every X in A has trace one).
+    <w, X> on A (every X in A has trace one). It must also pass the
+    oracle's own acceptance rule, <w, x0> < -CERT_RTOL * max(1, ||w||_F).
     """
     assert w.shape == (8, 8)
     scale = np.linalg.norm(w)
@@ -320,4 +322,5 @@ def verify_certificate(w, target):
         assert np.linalg.norm(_constraints(x) - rhs) <= 1e-12
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
         assert np.vdot(w, x).real + shift < 0
+    assert np.vdot(w, x0).real < -CERT_RTOL * max(1.0, scale)
     assert np.linalg.norm(x1 - x0) > 0.5

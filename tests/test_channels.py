@@ -40,6 +40,7 @@ from qdeg.channels import (
     to_choi,
     transfer_from_choi,
     unital,
+    validate_choi,
 )
 from qdeg.classify import classify
 from qdeg.errors import (
@@ -186,6 +187,15 @@ class TestKrausFromChoi:
 
 
 class TestBloch:
+    def test_conversion_is_the_validated_matrix_bit_for_bit(self):
+        # half of a subnormal lambda rounds to a signed zero that makes the
+        # builder's output Hermitian in value but not in bits; the conversion
+        # takes the Hermitian part as validate_choi does, so no bit differs
+        t, lam = np.zeros(3), np.array([0.0, 5e-324, 0.0])
+        m = bloch_to_choi(t, lam)
+        assert validate_choi(m).tobytes() != m.tobytes()
+        assert choi_from_bloch(BlochParams(t=t, lam=lam)).matrix.tobytes() == validate_choi(m).tobytes()
+
     def test_identity_params(self):
         c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1, 1, 1]))
         assert np.allclose(c.matrix, np.outer(vec(I2), vec(I2).conj()), atol=1e-14)

@@ -27,6 +27,7 @@ from qdeg.channels import (
     depolarizing,
     identity,
     rank2,
+    to_choi,
     transfer_from_choi,
 )
 from qdeg.classify import (
@@ -370,6 +371,18 @@ class TestClassify:
         with pytest.raises(NotAChannel):
             unital_antidegradable([1.2, 1.2, 1.2])
 
+    @pytest.mark.parametrize("t, lam", [((0, 0, 0), (1e200, 0, 0)), ((0, 0, 0), (1e160, 0, 0)),
+                                        ((1e200, 0, 0), (0, 0, 0))])
+    def test_overflowing_spectrum_is_not_a_channel(self, t, lam):
+        # the 2-norm of the Choi spectrum overflowed to inf, and the CP gate
+        # -tol * inf let any minimum eigenvalue through
+        with pytest.raises(NotAChannel) as exc:
+            classify(BlochParams(t=t, lam=lam))
+        assert exc.value.min_choi_eig < -1e159
+        if not any(t):  # the unital closed form takes the same map by its lambda
+            with pytest.raises(NotAChannel):
+                unital_antidegradable(lam)
+
     def test_tol_of_a_quarter_is_rejected(self):
         # the completely depolarizing Choi spectrum is (1/2, 1/2, 1/2, 1/2): a
         # rank cutoff tol * 2 >= 1/2 leaves no eigenvalue, and rank 0 read
@@ -486,6 +499,27 @@ class TestRepresentationInvariance:
             reps += [remix(k, n, rng) for n in (3, 4) if n >= k.env_dim]
             for rep in reps:
                 assert_same_report(classify(rep), ref, 1e-10)
+
+    def test_conversions_match_the_validated_choi(self):
+        # to_choi builds the Choi matrix of a Kraus set, Bloch parameters or a
+        # transfer block without validate_choi; ChoiMatrix of the same matrix
+        # runs it, and the two reports must be identical
+        rng = np.random.default_rng(14)
+        inputs = [bloch_from_choi(choi_from_kraus(rank2(a, b))) for a, b in ((0.3, 0.5), (1.2, 0.0))]
+        inputs += [random_rank3_bloch(rng) for _ in range(4)] + [random_rank4_bloch(rng) for _ in range(4)]
+        for rank in (1, 2, 3, 4):
+            for _ in range(4):
+                k = random_channel(rng, env_dim=rank)
+                p = np.zeros(4)  # Pauli weights on (I, X, Y, Z): a unital channel of Choi rank `rank`
+                p[rng.choice(4, size=rank, replace=False)] = rng.dirichlet(np.ones(rank))
+                lam = p[0] - p[1:].sum() + 2.0 * p[1:]
+                inputs += [k, transfer_from_choi(choi_from_kraus(k)), BlochParams(t=np.zeros(3), lam=lam)]
+        ranks = set()
+        for x in inputs:
+            rep = classify(x).to_dict()
+            assert rep == classify(ChoiMatrix(to_choi(x).matrix)).to_dict(), x
+            ranks.add((type(x).__name__, rep["choi_rank"]))
+        assert {(name, r) for name in ("KrausSet", "PauliTransfer", "BlochParams") for r in (1, 2, 3, 4)} <= ranks
 
     @pytest.mark.parametrize("alpha, beta, expected", [
         (0.3, math.pi / 4, True),

@@ -701,6 +701,42 @@ class TestCpGate:
             assert code == 0 and len(json.loads(out)["operators"]) == rank
 
 
+# Bloch parameters whose Choi spectrum has a 2-norm beyond the float range:
+# at 1e200 along lambda the rank-2 gate passed and classify never returned
+OVERFLOWING = [{"kind": "bloch", "t": [0, 0, 0], "lambda": [1e200, 0, 0]},
+               {"kind": "bloch", "t": [0, 0, 0], "lambda": [1e160, 0, 0]},
+               {"kind": "bloch", "t": [1e200, 0, 0], "lambda": [0, 0, 0]}]
+
+
+class TestOverflow:
+    """Huge finite parameters exit 2 with one error line and no numpy warning."""
+
+    @pytest.mark.parametrize("doc", OVERFLOWING, ids=["lambda-1e200", "lambda-1e160", "t-1e200"])
+    def test_overflowing_norm_fails_the_cp_gate(self, tmp_path, capsys, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: not a channel: Choi matrix has eigenvalue -5\.000e\+1[59]9; channel is not CP "
+                            r"\(min Choi eigenvalue \S+, TP residual 0\.0\)\n", err)
+
+    def test_overflowing_choi_entries_are_not_finite(self, tmp_path, capsys):
+        doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1e308, 1e308, 1e308]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert (code, out, err) == (2, "", "error: not a channel: matrix entries must be finite\n")
+
+    def test_sweep_of_overflowing_scales_exits_2(self, tmp_path, capsys):
+        # printed rows of -inf and inf margins with exit 0
+        spec = {"family": "unital", "direction": [1, 0, 0], "scale": {"min": 1e200, "max": 2e200, "steps": 3}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["sweep", write_spec(tmp_path, spec)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a channel: no grid point is completely positive") and err.count("\n") == 1
+
+
 def readme_json_blocks() -> list:
     return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)]
 

@@ -149,6 +149,13 @@ class TestPsdCheck:
         c = choi_from_bloch(BlochParams(t=[0, 0, 0], lam=[1, 1, -1]))
         assert psd_check(c.matrix) is False
 
+    def test_overflowing_norm_fails(self):
+        # a trace-2 PSD spectrum has 2-norm at most 2; one whose norm
+        # overflows is not PSD, in a stack as well as alone
+        spectra = np.array([[-5e199, -5e199, 5e199, 5e199], [0.5, 0.5, 0.5, 0.5]])
+        assert not rank_and_cp(spectra[0])[1]
+        assert rank_and_cp(spectra)[1].tolist() == [False, True]
+
     def test_density_matrices(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -11,6 +11,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import (  # noqa: E402
     assert_same_report,
@@ -19,7 +20,20 @@ from helpers import (  # noqa: E402
     random_unitary,
     remix,
 )
-from qdeg.channels import BlochParams, ChoiMatrix, bell_mu, choi_from_kraus, depolarizing, rank2  # noqa: E402
+from qdeg.channels import (  # noqa: E402
+    BlochParams,
+    ChoiMatrix,
+    bell_mu,
+    bloch_to_choi,
+    choi_from_bloch,
+    choi_from_kraus,
+    choi_from_transfer,
+    depolarizing,
+    kraus_to_choi,
+    rank2,
+    transfer_to_choi,
+    validate_choi,
+)
 from qdeg.classify import classify  # noqa: E402
 from qdeg.cli import main  # noqa: E402
 
@@ -119,3 +133,50 @@ def test_classify_invariant_under_unitary_conjugation(k, seed):
 def test_classify_invariant_under_kraus_remix(k, seed, count):
     remixed = remix(k, max(count, k.env_dim), np.random.default_rng(seed))
     assert_same_report(classify(remixed), classify(k), 1e-10)
+
+
+# one matrix, and stacks of one and two axes
+stack_shapes = st.sampled_from(((), (3,), (2, 3)))
+
+
+@st.composite
+def built_chois(draw):
+    """A Choi matrix or stack from one of the three stack builders (Haar
+    Kraus sets, or Bloch parameters and transfer blocks of any sign, CP or
+    not), and for each of its matrices the builder's output on that matrix
+    alone beside the ChoiMatrix that the conversion builds."""
+    shape = draw(stack_shapes)
+    builder = draw(st.sampled_from(("kraus", "bloch", "transfer")))
+    if builder == "kraus":
+        rng, rank = np.random.default_rng(draw(seeds)), draw(st.integers(1, 4))
+        sets = [random_channel(rng, rank) for _ in range(int(np.prod(shape, dtype=int)))]
+        m = kraus_to_choi(np.array([k.operators for k in sets]).reshape(shape + (rank, 2, 2)))
+        return m, [(kraus_to_choi(np.array(k.operators)), choi_from_kraus(k)) for k in sets]
+    entries = st.floats(-4.0, 4.0)
+    t = draw(arrays(float, shape + (3,), elements=entries))
+    if builder == "bloch":
+        lam = draw(arrays(float, shape + (3,), elements=entries))
+        rows = zip(t.reshape(-1, 3), lam.reshape(-1, 3))
+        return bloch_to_choi(t, lam), [(bloch_to_choi(*row), choi_from_bloch(BlochParams(*row))) for row in rows]
+    r = np.zeros(shape + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 1:, 0] = t
+    r[..., 1:, 1:] = draw(arrays(float, shape + (3, 3), elements=entries))
+    rows = r.reshape(-1, 4, 4)
+    return transfer_to_choi(r), [(transfer_to_choi(row), choi_from_transfer(row[1:, 0], row[1:, 1:])) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_chois())
+def test_conversions_skip_a_validation_that_changes_no_value(built):
+    # the conversions build their ChoiMatrix without validate_choi: the
+    # builders' output is exactly Hermitian and trace-preserving, so the
+    # check returns its values. (m + m^dag) / 2 can still flip the sign of
+    # a zero, so the conversions keep that step and match the check bit for bit
+    stack, rows = built
+    for m in [stack] + [m for m, _ in rows]:
+        checked = validate_choi(m)
+        assert checked.dtype == m.dtype == np.complex128 and checked.shape == m.shape
+        assert np.array_equal(checked, m)
+    for m, conversion in rows:
+        assert conversion.matrix.tobytes() == validate_choi(m).tobytes()
