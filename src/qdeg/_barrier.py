@@ -4,7 +4,8 @@
 ``qdeg.symext`` restricted to a face of the target's range, and
 ``face_search`` builds every such search space: the face of a
 rank-deficient target, or the full space, which is the face of a
-full-rank one. ``decide`` routes a target between the two. The
+full-rank one. ``lift_certificate`` turns a face's certificate into an
+8x8 one, and ``decide`` routes a target between the two spaces. The
 derivation is in the ``qdeg.symext`` docstring. ``symext`` imports this
 module on first use, so that ``import qdeg`` compiles none of it.
 """
@@ -12,6 +13,7 @@ module on first use, so that ``import qdeg`` compiles none of it.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .symext import (
     OracleStatus,
     _psd_part,
     _residual,
+    _swap,
     _tensor_eye,
 )
 
@@ -37,6 +40,9 @@ from .symext import (
 # _CUT means that A misses the face. A near-miss costs only speed:
 # every witness is checked against the target.
 _CUT = 1e-9
+
+_EYE4 = np.eye(4)
+_EYE8 = np.eye(8)
 
 
 @functools.cache
@@ -74,7 +80,20 @@ def _hermitian_basis(sizes: tuple[int, ...]) -> np.ndarray:
     return stack
 
 
-def _face(top: np.ndarray) -> tuple | None:
+class _Face(NamedTuple):
+    """The geometry of the face V of a range R; see ``_face``."""
+
+    top: np.ndarray  # 4 x r orthonormal basis of R
+    a: np.ndarray  # (r * r, p) constraint map, from Y in units to R^dag tr_Y'(Q Y Q^dag) R in marginals
+    solve: np.ndarray  # the least-norm solution operator of ``a``
+    units: np.ndarray  # (p, k * k) orthonormal basis of the block-diagonal Y
+    marginals: np.ndarray  # (r * r, r * r) orthonormal basis of the Hermitian r x r matrices
+    basis: np.ndarray  # real views of the free directions, as rows
+    directions: np.ndarray  # the free directions, then -I
+    q: np.ndarray  # 8 x k orthonormal basis of V
+
+
+def _face(top: np.ndarray) -> _Face | None:
     """The geometry of the face V of a range R with orthonormal basis ``top``
     (4 x r), or None when V = {0}.
 
@@ -83,38 +102,38 @@ def _face(top: np.ndarray) -> tuple | None:
     coordinates (i, c); stacked as g they give Q = E g. The marginal of
     Q Y Q^dag is R tr_c(g Y g^dag) R^dag, so on the face A is
     {Y block-diagonal : tr_c(g Y g^dag) = R^dag target R}, a linear system
-    ``a`` in the coordinates of Y in ``units``, whose least-norm solution
-    is ``solve`` times the real and imaginary parts of R^dag target R.
-    Returns ``(top, a, solve, units, basis, directions, q)``.
+    ``a`` from the coordinates of Y in ``units`` to those of an r x r
+    Hermitian matrix in ``marginals``: r^2 rows, one per real degree of
+    freedom. Its least-norm solution is ``solve`` times the coordinates of
+    R^dag target R.
     """
     r = top.shape[1]
     e = _tensor_eye(top)
     _, s, vh = np.linalg.svd(_antisymmetric_rows() @ e)
-    s = np.concatenate([s, np.zeros(2 * r - 2)])
-    sym, anti = s < _CUT, s > 1.0 - _CUT
-    g = linalg.dagger(np.concatenate([vh[sym], vh[anti]]))
+    # s is descending, and the rows of vh past the second span the kernel
+    n_sym, n_anti = 2 * r - 2 + np.count_nonzero(s < _CUT), np.count_nonzero(s > 1.0 - _CUT)
+    g = linalg.dagger(vh[[*range(2 * r - n_sym, 2 * r), *range(n_anti)]])
     k = g.shape[1]
     if k == 0:
         return None
-    units = _hermitian_basis((np.count_nonzero(sym), np.count_nonzero(anti)))
-    units = units.reshape(len(units), k * k)
+    units = _hermitian_basis((n_sym, n_anti)).reshape(-1, k * k)
+    marginals = _hermitian_basis((r,)).reshape(r * r, r * r)
     # gg[(i, j), (a, b)] = sum_c g[(i, c), a] conj(g[(j, c), b]), so that
     # tr_c(g Y g^dag) = gg @ vec(Y)
     gc = g.reshape(r, 2, k).transpose(1, 0, 2).reshape(2, r * k)
     gg = (gc.T @ gc.conj()).reshape(r, k, r, k).transpose(0, 2, 1, 3).reshape(r * r, k * k)
-    m = gg @ units.T
-    a = np.concatenate([m.real, m.imag])
+    a = (marginals.conj() @ gg @ units.T).real
     u, sv, vt = np.linalg.svd(a)
     fixed = np.count_nonzero(sv > _CUT * sv[0])
     solve = (vt[:fixed].T / sv[:fixed]) @ u[:, :fixed].T
-    free = (vt[fixed:] @ units).reshape(-1, k, k)
+    basis = vt[fixed:] @ units.view(np.float64)
+    free = basis.view(np.complex128).reshape(-1, k, k)
     directions = np.concatenate([free, -np.eye(k, dtype=np.complex128)[None]])
-    basis = free.view(np.float64).reshape(len(free), 2 * k * k)
-    return top, a, solve, units, basis, directions, e @ g
+    return _Face(top, a, solve, units, marginals, basis, directions, e @ g)
 
 
 @functools.cache
-def _full_face() -> tuple:
+def _full_face() -> _Face:
     """``_face`` of R = C^4 with basis I: the full space, the same for every
     target, so built once, on first use. Its arrays are read-only."""
     face = _face(np.eye(4, dtype=np.complex128))
@@ -123,33 +142,45 @@ def _full_face() -> tuple:
     return face
 
 
+def _search(face: _Face, target: np.ndarray) -> tuple | None:
+    """A restricted to ``face``, searched from its least-norm point: the
+    barrier's search ``(x0, basis, directions, lift)`` with lift = Q, or None
+    when A misses the face."""
+    m = linalg.dagger(face.top) @ target @ face.top
+    b = (face.marginals.conj() @ m.ravel()).real
+    coef = face.solve @ b
+    if linalg.frobenius(face.a @ coef - b) > _CUT:
+        return None
+    k = face.q.shape[1]
+    return (coef @ face.units).reshape(k, k), face.basis, face.directions, face.q
+
+
 def face_search(target: np.ndarray, vectors: np.ndarray, r: int) -> tuple | None:
     """A restricted to the face V of a target of Choi rank r.
 
     R is spanned by the last r columns of ``vectors``, the target's
     eigenvectors in ascending order; at r = 4 it is C^4, with the basis I,
-    and V is the whole swap-invariant space. On the face, A is searched
-    from its least-norm point (see ``_face``). Returns the barrier's search
-    ``(x0, basis, directions, lift)`` with lift = Q, or None when V = {0}
-    or A misses the face.
+    and V is the whole swap-invariant space. Returns the barrier's search
+    (see ``_search``), or None when V = {0} or A misses the face.
     """
     face = _full_face() if r == 4 else _face(vectors[:, 4 - r:])
-    if face is None:
-        return None
-    top, a, solve, units, basis, directions, q = face
-    m = linalg.dagger(top) @ target @ top
-    b = np.concatenate([m.real.ravel(), m.imag.ravel()])
-    coef = solve @ b
-    if linalg.frobenius(a @ coef - b) > _CUT:
-        return None
-    k = q.shape[1]
-    return (coef @ units).reshape(k, k), basis, directions, q
+    return None if face is None else _search(face, target)
 
 
 def _lift(q: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The 8x8 extension Q Y Q^dag of a point Y of a face."""
     y = q @ y @ linalg.dagger(q)
     return (y + linalg.dagger(y)) / 2.0
+
+
+@functools.cache
+def _sym_tensor_eye() -> np.ndarray:
+    """The (64, 16) matrix that maps B to sym(B (x) I), the swap-invariant
+    part of B (x) I, both flattened row by row."""
+    units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
+    out = np.stack([(m + _swap(m)).ravel() / 2.0 for m in map(_tensor_eye, units)], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[OracleResult | None, int]:
@@ -162,13 +193,16 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
     D_1..D_m, -I, and ``lift`` is Q, which maps a point Y of the set to its
     8x8 extension Q Y Q^dag.
 
-    Returns ``(result, steps)``. A run in the full space, the only search
-    of dimension 8 (a face of a rank-r target has dimension <= 2r <= 6),
-    ends FEASIBLE, INFEASIBLE with the certificate lifted as Q W Q^dag or,
-    at the cap, INCONCLUSIVE. A run on a face ends with a FEASIBLE witness
-    or None: the face is ruled out when its one point is not a witness,
-    when its dual certificate proves it empty or when a centred bound
-    t + dim(V) mu falls below 0, and left open at the cap.
+    Returns ``(result, steps)``. A run ends FEASIBLE with the witness
+    Q Y Q^dag or INFEASIBLE with a certificate W, PSD, orthogonal to the
+    set's linear part and negative on it. In the full space, the only
+    search of dimension 8 (a face of a rank-r target has dimension
+    <= 2r <= 6), W is lifted as Q W Q^dag, and a run with neither proof
+    ends INCONCLUSIVE at the cap. On a face W stays in the face's
+    coordinates, for ``decide`` to lift. A face of one point y0 takes no
+    step: it is a witness, or v v^dag, v the eigenvector of y0's lowest
+    eigenvalue, is its certificate when <v v^dag, y0> passes the same rule,
+    or the run returns None. A face run also returns None at the cap.
     """
     target, tol, cap = problem.target, problem.tol, problem.max_iter
     x0, basis, directions, lift = search
@@ -191,23 +225,27 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
             residual = _residual(y, target)
             if residual <= tol:
                 return OracleResult(OracleStatus.FEASIBLE, y, residual, it), it
-        if not final and n == 1:
+        cert = None
+        if n == 1:  # one point: <v v^dag, y0> = lam_x[0]
+            if lam_x[0] >= 0.0:
+                return None, it
+            cert = np.outer(v[:, 0], v[:, 0].conj())
+        else:
+            s_inv = (v / w) @ linalg.dagger(v)
+            coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
+            # x0 is the least-norm point of A, so it is orthogonal to the D_k and
+            # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
+            if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
+                dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(k, k))
+                dual = (dual + linalg.dagger(dual)) / 2.0
+                # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
+                cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
+        if cert is not None and np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
+            residual = _residual(_lift(lift, _psd_part(lam_x, v)), target)
+            return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
+                                certificate=_lift(lift, cert) if final else cert), it
+        if n == 1:
             return None, it
-        s_inv = (v / w) @ linalg.dagger(v)
-        coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
-        # x0 is the least-norm point of A, so it is orthogonal to the D_k and
-        # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
-        if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
-            dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(k, k))
-            dual = (dual + linalg.dagger(dual)) / 2.0
-            # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
-            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
-            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
-                if not final:
-                    return None, it
-                residual = _residual(_lift(lift, _psd_part(lam_x, v)), target)
-                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
-                                    certificate=_lift(lift, cert)), it
         if it == cap:
             break
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
@@ -225,8 +263,6 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
         if not np.isfinite(decrement):
             raise NumericalFailure("Newton step is not finite")
         centred = decrement < BARRIER_CENTRED
-        if not final and centred and t + k * mu < 0.0:
-            return None, it
         # a step inside the Dikin ellipsoid (decrement < 1) keeps S positive
         # definite; the halving only absorbs rounding
         alpha = 1.0 if centred else 1.0 / (1.0 + decrement)
@@ -249,14 +285,67 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
     return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, cap), cap
 
 
+def lift_certificate(face: _Face, target: np.ndarray, cert: np.ndarray, x0: np.ndarray) -> np.ndarray | None:
+    """The 8x8 certificate lifted from the certificate W_Y of ``face``, or
+    None when it fails the oracle's rule <W, x0> < -CERT_RTOL max(1, ||W||_F).
+
+    W_Y is orthogonal to the face's free directions, so it lies in the row
+    space of ``a``: W_Y = a^T eta, eta the coordinates of a Hermitian y on
+    R. Then B = R y R^dag has <sym(B (x) I), Q Y Q^dag> = <W_Y, Y>. With
+    N = sym(P (x) I), P the projector onto the target's kernel, the lift is
+    W = sym(B (x) I) + eps I + tau N. Every term lies in L^perp, so W takes
+    one value on A, <B + tau P, target> + eps tr(target). With
+    eps = -<W_Y, x0> / 2 > 0 that value is negative, and W equals
+    W_Y + eps I on V = ker N, which is positive definite. N is positive
+    definite on V^perp, so the least tau that makes W PSD is the largest
+    eigenvalue of -N^-1/2 K N^-1/2, K the Schur complement of V in
+    sym(B (x) I) + eps I. At that tau W is singular, so it is PSD up to
+    rounding, which the rule's margin absorbs, as it absorbs the rounding
+    of the barrier's own PSD shift.
+    """
+    top, top_h = face.top, linalg.dagger(face.top)
+    r, k = top.shape[1], face.q.shape[1]
+    eta = face.solve.T @ (face.units.view(np.float64) @ cert.view(np.float64).ravel())
+    b = top @ (eta @ face.marginals).reshape(r, r) @ top_h
+    kernel = _EYE4 - top @ top_h
+    sym = _sym_tensor_eye()
+    sb, n = (sym @ b.ravel()).reshape(8, 8), (sym @ kernel.ravel()).reshape(8, 8)
+    eps = -np.vdot(cert, x0).real / 2.0
+    d, u = linalg._eigh(n)  # ascending: V first
+    if not d[k] > _CUT:
+        return None
+    g = linalg.dagger(u) @ sb @ u + eps * _EYE8
+    try:
+        schur = g[k:, k:] - g[k:, :k] @ np.linalg.solve(g[:k, :k], g[:k, k:])
+    except np.linalg.LinAlgError:
+        return None
+    scale = 1.0 / np.sqrt(d[k:])
+    tau = max(0.0, -float(linalg._eigvalsh(schur * scale[:, None] * scale)[0]))
+    w = sb + tau * n + eps * _EYE8
+    value = np.vdot(b + tau * kernel, target).real + eps * np.trace(target).real
+    if value < -CERT_RTOL * max(1.0, linalg.frobenius(w)):
+        return w
+    return None
+
+
 def decide(problem: ExtensionProblem, vectors: np.ndarray, rank: int) -> OracleResult:
-    """The target's face at Choi rank 2 or 3; the full space, the face of
-    rank 4, for whatever the face leaves open and at ranks 1 and 4."""
+    """One route per Choi rank. Ranks 2 and 3 go to the target's face, run
+    to a witness or to a certificate of the face, which ``lift_certificate``
+    lifts to 8x8. The full space, the face of rank 4, decides ranks 1 and 4
+    and whatever the face leaves open: a face V = {0} or one that A misses,
+    a face run that reaches the cap, and a lifted certificate that fails
+    the oracle's rule, as near-boundary targets' do. Its steps count after
+    the face's."""
     result, steps = None, 0
     if rank in (2, 3):
-        face = face_search(problem.target, vectors, rank)
-        if face is not None:
-            result, steps = barrier(problem, face)
+        face = _face(vectors[:, 4 - rank:])
+        search = None if face is None else _search(face, problem.target)
+        if search is not None:
+            result, steps = barrier(problem, search)
+        if result is not None and result.status is OracleStatus.INFEASIBLE:
+            cert = lift_certificate(face, problem.target, result.certificate, search[0])
+            result = None if cert is None else OracleResult(
+                OracleStatus.INFEASIBLE, None, result.residual, steps, certificate=cert)
     if result is None:
         result, _ = barrier(problem, face_search(problem.target, vectors, 4), start=steps)
     return result

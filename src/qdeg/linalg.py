@@ -103,18 +103,24 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
     Raises :class:`NotHermitian`, naming ``what``, the stack row and the
     residual ``||m - m^dag||_F``, when that residual exceeds
-    ``HERMITICITY_RTOL * max(1, ||m||_F)``.
+    ``HERMITICITY_RTOL * max(1, ||m||_F)``. Both sides are compared divided
+    by s = max(1, the largest |entry|), where neither norm can overflow;
+    undivided, both overflowed to inf for entries above about 1e154, and
+    ``inf > inf`` is false.
     """
     if m.shape[-2] != m.shape[-1]:
         raise NotHermitian(f"{what} of shape {m.shape} is not square")
     h = m.conj().swapaxes(-1, -2)
-    residual = np.linalg.norm(m - h, axis=(-2, -1))
-    bound = HERMITICITY_RTOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
+    s = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    ms = m / s[..., None, None]
+    residual = np.linalg.norm(ms - ms.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bound = HERMITICITY_RTOL * np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0 / s)
     bad = first_violation(residual, bound)
     if bad is not None:
+        with np.errstate(over="ignore"):
+            residual, bound = residual[bad] * s[bad], bound[bad] * s[bad]
         raise NotHermitian(
-            f"{what}{row_suffix(bad)} is not Hermitian: ||m - m^dag||_F = "
-            f"{residual[bad]:.3e} exceeds {bound[bad]:.3e}"
+            f"{what}{row_suffix(bad)} is not Hermitian: ||m - m^dag||_F = {residual:.3e} exceeds {bound:.3e}"
         )
     return (m + h) / 2.0
 

@@ -13,10 +13,11 @@ sym(B (x) I), because <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 There are two entry points. ``qdeg oracle`` applies the CP gate at
 ``--tol`` and hands ``ExtensionProblem(C/2, --oracle-tol, --max-iter)``
 to ``barrier_feasibility``, which eigendecomposes the target;
-``oracle_extendible`` applies the CP gate at ``channels.DEFAULT_TOL`` and
-hands the gate's Choi rank and eigenvectors to ``qdeg._barrier.decide``;
-its ``tol`` is the witness-residual tolerance. Both run
-one log-det barrier method. On a search space with orthonormal free
+``oracle_extendible`` applies the CP gate at ``channels.DEFAULT_TOL``,
+builds its problem from the gate's spectrum without checking the matrix
+again, and hands the gate's Choi rank and eigenvectors to
+``qdeg._barrier.decide``; its ``tol`` is the witness-residual tolerance.
+Both run one log-det barrier method. On a search space with orthonormal free
 directions B_1..B_m, the extensions are X(z) = x0 + sum_k z_k B_k, with
 x0 the least-norm point of A, and the method maximizes t subject to
 S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
@@ -56,21 +57,41 @@ swap-invariant, so it splits into a swap-symmetric and an antisymmetric
 part, and every swap-invariant X supported on V is Q Y Q^dag, with Q an
 orthonormal basis of V adapted to the split and Y block-diagonal. On the
 face, A is the set of such Y with tr_Y'(Q Y Q^dag) = target, and the
-barrier runs on Y; its witness and certificate are lifted to 8x8 as
-Q Y Q^dag and Q W Q^dag. One builder, ``qdeg._barrier.face_search``, makes
-every search space. The full space is the face of a full-rank target:
-R = C^4 with the basis I, V = C^8, Q the unitary that splits C^8 into its
-6 swap-symmetric and 2 antisymmetric directions, and 24 free directions
-spanning L. That geometry is the same for every target, so it is built
-once, on first use, and a target adds only its x0, which is
-P_A(target (x) I/2) since target (x) I/2 lies in L⊥. For a generic target
-dim V = 2 rank - 2 below rank 4: at rank 2 the face's A is one point, a
-witness when it is PSD, after 0 Newton steps; at rank 3 the barrier runs
-on 4x4 matrices Y. A face witness is accepted by the residual rule above.
-The face is ruled out when its one point is not PSD, when the certificate
-above, built on the face, proves that it holds no PSD point, or when the
-centred bound t + dim(V) mu falls below 0; the full space then decides,
-as it does at ranks 1 and 4.
+barrier runs on Y; its witness is lifted to 8x8 as Q Y Q^dag (and in the
+full space, where Q is unitary, its certificate as Q W Q^dag). One
+builder, ``qdeg._barrier.face_search``, makes every search space. The
+full space is the face of a full-rank target: R = C^4 with the basis I,
+V = C^8, Q the unitary that splits C^8 into its 6 swap-symmetric and 2
+antisymmetric directions, and 24 free directions spanning L. That
+geometry is the same for every target, so it is built once, on first use,
+and a target adds only its x0, which is P_A(target (x) I/2) since
+target (x) I/2 lies in L⊥. For a generic target dim V = 2 rank - 2 below
+rank 4: at rank 2 the face's A is one point, a witness when it is PSD,
+after 0 Newton steps; at rank 3 the barrier runs on 4x4 matrices Y. A
+face witness is accepted by the residual rule above.
+
+A face that holds no extension is certified on the face, by a PSD W_Y
+orthogonal to the face's linear part and negative at its start point y0:
+at rank 2, where y0 is the only point, W_Y = v v^dag for the eigenvector
+v of a negative eigenvalue of y0; at rank 3, the certificate above, built
+on the face, after as many Newton steps as it takes. The lifting step of
+facial reduction (D. Drusvyatskiy and H. Wolkowicz, "The many faces of
+degeneracy in conic optimization", Found. Trends Optim. 3, 2017) turns
+W_Y into an 8x8 certificate. W_Y lies in the row space of the face's
+constraint map, W_Y = a^T eta, and eta, read as a Hermitian y on R, gives
+B = R y R^dag with <sym(B (x) I), Q Y Q^dag> = <W_Y, Y>. With P the
+projector onto the target's kernel,
+W = sym(B (x) I) + eps I + tau sym(P (x) I) lies in L⊥, equals
+W_Y + eps I on V and takes the value <W_Y, y0> + eps + tau u^dag target u
+(summed over the kernel vectors u) on A. eps = -<W_Y, y0> / 2 makes that
+value negative, and sym(P (x) I), positive definite on V⊥, makes W PSD
+from the least tau that the Schur complement of V gives. W is accepted
+only by the rule above, <W, x0> < -CERT_RTOL * max(1, ||W||_F). Near the
+boundary it fails that rule: tau grows like 1 / eps, so |<W, x0>| / ||W||_F
+falls with the square of the margin (about 2e-11 at margin -2e-5 for
+``channels.rank2``). The full space then decides, as it
+does at ranks 1 and 4, when V = {0}, when A misses the face and when the
+face run reaches the step cap; its steps count after the face's.
 
 R is spanned by the eigenvectors above the Choi-rank cutoff of
 ``channels.rank_and_cp``. So a target whose smallest eigenvalue lies in
@@ -92,7 +113,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import I2, choi_rank, rank_and_cp, to_choi
+from .channels import I2, ChoiMatrix, choi_rank, rank_and_cp, to_choi
 from .errors import InvalidDimension, InvalidParameter, NotPSD
 
 #: Default residual tolerance for declaring feasibility.
@@ -127,6 +148,18 @@ class OracleStatus(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _check_parameters(tol, max_iter) -> None:
+    # the CLI's rules; a bool is Integral, but no step count
+    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+        raise InvalidParameter(f"tol must be a finite number > 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
+def _not_psd(lam_min: float, tol: float) -> NotPSD:
+    return NotPSD(f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-tol!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionProblem:
     """Feasibility instance: find a symmetric extension of ``target``.
@@ -137,11 +170,7 @@ class ExtensionProblem:
     max_iter: int = ORACLE_MAX_ITER
 
     def __post_init__(self):
-        # the CLI's rules; a bool is Integral, but no step count
-        if not (isinstance(self.tol, numbers.Real) and np.isfinite(self.tol) and self.tol > 0):
-            raise InvalidParameter(f"tol must be a finite number > 0, got {self.tol!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise InvalidParameter(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_parameters(self.tol, self.max_iter)
         m = linalg.as_matrix(self.target)
         if m.shape != (4, 4):
             raise InvalidDimension(f"target must be 4x4, got {m.shape}")
@@ -149,9 +178,8 @@ class ExtensionProblem:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-10:
             raise InvalidDimension(f"target trace must be 1, got {trace!r}")
-        # The oracle's own gate, kept though oracle_extendible applies the CP
-        # gate first: this class is public, and `qdeg oracle --tol` can pass a
-        # channel the default refuses. Below -tol no PSD extension has its
+        # The oracle's own gate: `qdeg oracle --tol` can pass a channel the
+        # default CP gate refuses. Below -tol no PSD extension has its
         # marginal within tol of the target, so no witness can pass; a target
         # with eigenvalues in [-tol, 0) is searched on the face of its PSD
         # part (see the module docstring). The gate does real work: when the
@@ -161,18 +189,36 @@ class ExtensionProblem:
         # one eigenvalue from -1.01e-7 to -0.5, three Dirichlet(1, 1, 1)
         # weights) ended 987 INCONCLUSIVE at a 2000-step cap, 59 raised
         # NumericalFailure and 354 were certified infeasible.
-        # A Cholesky factor of target + tol I accepts; the spectrum decides
-        # the rest, so an oracle call eigendecomposes only the Choi matrix.
+        # A Cholesky factor of target + tol I accepts, so an accepted target
+        # is eigendecomposed once, by barrier_feasibility; the spectrum
+        # decides the rest.
         try:
             np.linalg.cholesky(m + self.tol * _EYE4)
         except np.linalg.LinAlgError:
             lam_min = float(linalg._eigvalsh(m)[0])
             if lam_min < -self.tol:
-                raise NotPSD(
-                    f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-self.tol!r}"
-                ) from None
+                raise _not_psd(lam_min, self.tol) from None
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
+
+
+def _gated_problem(c: ChoiMatrix, tol, max_iter) -> ExtensionProblem:
+    """``ExtensionProblem(C/2, tol, max_iter)`` for a Choi matrix C that
+    passed the CP gate, checked once: ``ChoiMatrix`` made C exactly
+    Hermitian with its trace within sqrt(2) ``channels.TP_TOL`` of 2, so of
+    the class's checks those of the parameters are left, and the -tol gate
+    reads the minimum eigenvalue from C's cached spectrum.
+    """
+    _check_parameters(tol, max_iter)
+    lam_min = float(c.eigen.eigenvalues[0]) / 2.0
+    if lam_min < -tol:
+        raise _not_psd(lam_min, tol)
+    target = c.matrix / 2.0
+    target.setflags(write=False)
+    problem = object.__new__(ExtensionProblem)
+    for name, value in (("target", target), ("tol", tol), ("max_iter", max_iter)):
+        object.__setattr__(problem, name, value)
+    return problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +280,12 @@ def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
     The target is eigendecomposed once: its Choi rank
     (``channels.rank_and_cp``) routes it, and at rank 2 or 3 its
     eigenvectors give the face on which the same method runs first (see
-    the module docstring). Steps there count in ``iterations``, and a
-    witness found there is lifted to 8x8 and accepted by the same residual
-    rule. A run with neither proof ends INCONCLUSIVE at
-    ``problem.max_iter`` steps, with the residual of the last iterate's
-    PSD projection.
+    the module docstring). Steps there count in ``iterations``; a witness
+    found there is lifted to 8x8 and accepted by the same residual rule,
+    and a certificate of the face by facial reduction's lifting step,
+    accepted by the same CERT_RTOL rule. A run with neither proof ends
+    INCONCLUSIVE at ``problem.max_iter`` steps, with the residual of the
+    last iterate's PSD projection.
     """
     from ._barrier import decide  # compiled on first use, not by `import qdeg`
 
@@ -250,8 +297,8 @@ def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_M
     """Decide symmetric extendibility of a channel's Choi matrix c, in any
     representation (normalized to c/2), with the barrier method of
     ``barrier_feasibility``, at every Choi rank. The CP gate's spectrum
-    gives the route and the face, so the target is not eigendecomposed
-    again.
+    gives the route, the face and the oracle's -tol gate, so the target
+    is neither eigendecomposed nor checked again.
 
     Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
     (:func:`~qdeg.channels.choi_rank`), as every other entry point does.
@@ -260,5 +307,4 @@ def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_M
 
     c = to_choi(channel)
     rank = choi_rank(c)
-    problem = ExtensionProblem(target=c.matrix / 2.0, tol=tol, max_iter=max_iter)
-    return decide(problem, c.eigen.eigenvectors, rank)
+    return decide(_gated_problem(c, tol, max_iter), c.eigen.eigenvectors, rank)

@@ -720,6 +720,17 @@ class TestOverflow:
         assert re.fullmatch(r"error: not a channel: Choi matrix has eigenvalue -5\.000e\+1[59]9; channel is not CP "
                             r"\(min Choi eigenvalue \S+, TP residual 0\.0\)\n", err)
 
+    def test_overflowing_choi_document_exits_2(self, tmp_path, capsys):
+        # both Hermiticity norms overflowed, so this non-Hermitian matrix was
+        # classified as its Hermitian part, the identity channel, with exit 0
+        doc = {"kind": "choi", "matrix": [[1, 1e160, 0, 1], [-1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["classify", write_spec(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == ("error: not a channel: Choi matrix is not Hermitian: ||m - m^dag||_F = 2.828e+160 "
+                       "exceeds 1.414e+150\n")
+
     def test_overflowing_choi_entries_are_not_finite(self, tmp_path, capsys):
         doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1e308, 1e308, 1e308]}
         with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,24 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_overflowing_norms_fail(self):
+        # above about 1e154 both norms overflowed to inf, and inf > inf is
+        # false, so this matrix passed as Hermitian; alone and in a stack
+        m = np.array([[1, 1e160, 0, 1], [-1e160, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match=r"^Choi matrix is not Hermitian: \|\|m - m\^dag\|\|_F = "
+                                                   r"2\.828e\+160 exceeds 1\.414e\+150$"):
+                require_hermitian(m, "Choi matrix")
+            with pytest.raises(NotHermitian, match=r"^matrix \(row 1\) is not Hermitian"):
+                require_hermitian(np.stack([np.eye(4, dtype=complex), m]))
+            # the largest finite entries: the residual itself overflows
+            with pytest.raises(NotHermitian, match=r"= inf exceeds 1\.273e\+298$"):
+                require_hermitian(m * 9e147)
+            # a Hermitian matrix passes at any scale, with its value kept
+            big = (m + m.conj().T) * 1e140
+            assert np.array_equal(require_hermitian(big), big)
 
 
 def psd_check(m) -> bool:

@@ -36,13 +36,16 @@ from qdeg.channels import (
 )
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, InvalidParameter, NotAChannel, NotPSD
-from qdeg._barrier import barrier, face_search
+from qdeg._barrier import _face, _search, barrier, face_search, lift_certificate
 from qdeg.linalg import _partial_trace
 from qdeg.symext import (
+    ORACLE_MAX_ITER,
+    ORACLE_TOL,
     ExtensionProblem,
     OracleStatus,
     barrier_feasibility,
     oracle_extendible,
+    _gated_problem,
     _psd_part,
     _swap,
     _tensor_eye,
@@ -191,6 +194,45 @@ class TestExtensionProblem:
     def test_numpy_integer_max_iter(self):
         r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4, max_iter=np.int64(1)))
         assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
+
+    @pytest.mark.parametrize("scale", [0.5, 0.8, 0.9, 1.1, 1.25, 2.0])
+    def test_spectrum_gate_agrees_with_cholesky_gate(self, scale):
+        # oracle_extendible reads lambda_min(C) / 2 from the CP gate's
+        # spectrum, ExtensionProblem factors target + tol I. The unital
+        # channel lambda = (1 + d)(1, 1, 1) has Choi eigenvalues -d / 2
+        # (three times) and 2 + 3 d / 2; a unitary on the output keeps them
+        tol = 1e-12
+        lam = 1.0 + 4.0 * tol * scale  # lambda_min(C) / 2 = -scale * tol
+        u = random_unitary(np.random.default_rng(int(scale * 100)), 2)
+        ui = np.kron(np.eye(2), u)
+        c = ChoiMatrix(ui @ choi_from_bloch(BlochParams(t=np.zeros(3), lam=[lam] * 3)).matrix @ ui.conj().T)
+        assert c.eigen.eigenvalues[0] / 2 == pytest.approx(-scale * tol, rel=1e-3)
+        outcomes = []
+        for gate in (lambda: ExtensionProblem(target=c.matrix / 2, tol=tol, max_iter=1),
+                     lambda: oracle_extendible(c, tol=tol, max_iter=1)):
+            try:
+                gate()
+                outcomes.append("accepted")
+            except NotPSD as exc:
+                outcomes.append(float(re.search(r"eigenvalue (\S+) is below", str(exc)).group(1)))
+        if scale < 1:
+            assert outcomes == ["accepted", "accepted"]
+        else:
+            assert "accepted" not in outcomes and outcomes[0] == pytest.approx(outcomes[1], rel=1e-9)
+
+    def test_spectrum_gate_on_the_readme_example(self):
+        # `qdeg oracle --tol 1e-3` on lambda = 1.000002 (1, 1, 1): both gates
+        # refuse the target at the default oracle tol, with one number
+        c = choi_from_bloch(BlochParams(t=np.zeros(3), lam=[1.000002] * 3))
+        pattern = r"^target is not PSD: minimum eigenvalue \S+ is below -tol = -1e-07$"
+        messages = []
+        for gate in (lambda: ExtensionProblem(target=c.matrix / 2),
+                     lambda: _gated_problem(c, ORACLE_TOL, ORACLE_MAX_ITER)):
+            with pytest.raises(NotPSD, match=pattern) as info:
+                gate()
+            messages.append(float(re.search(r"eigenvalue (\S+) is below", str(info.value)).group(1)))
+        assert messages[0] == pytest.approx(-5.000000000823648e-07, rel=1e-15)
+        assert messages[1] == pytest.approx(messages[0], rel=1e-12)
 
     def test_oracle_zero_tol_rejected(self):
         # it ran 20 000 steps to INCONCLUSIVE
@@ -355,40 +397,90 @@ class TestBarrier:
             assert (r.status, r.iterations) == (ref.status, ref.iterations)
 
     def test_rank2_face_costs_no_step(self):
-        # a rank-2 target goes to its one-point face first: a witness there
-        # answers at 0 steps, and otherwise the full space answers alone
+        # a rank-2 target is decided on its one-point face y0 at 0 steps: by
+        # y0 when it is a witness, and otherwise by the face certificate
+        # v v^dag, v the eigenvector of y0's negative eigenvalue, lifted to
+        # 8x8; no full-space step is taken
         rng = np.random.default_rng(23)
-        on_face = 0
+        on_face = lifted = 0
         for _ in range(40):
             c = choi_from_kraus(random_channel(rng, env_dim=2))
             problem = ExtensionProblem(target=c.matrix / 2)
-            vectors = c.eigen.eigenvectors
-            face = face_search(problem.target, vectors, 2)
+            face = face_search(problem.target, c.eigen.eigenvectors, 2)
             assert len(face[2]) == 1  # one point: its only direction is -I
-            r = oracle_extendible(c)
             result, steps = barrier(problem, face)
-            assert steps == 0
-            if result is None:
-                full, _ = barrier(problem, face_search(problem.target, vectors, 4))
-                assert (r.status, r.iterations) == (full.status, full.iterations)
-            else:
-                assert r.status is OracleStatus.FEASIBLE and r.iterations == 0
+            r = oracle_extendible(c)
+            assert steps == 0 and r.iterations == 0 and r.status is result.status
+            if r.status is OracleStatus.FEASIBLE:
                 verify_witness(r.witness, problem.target)
                 on_face += 1
-        assert 0 < on_face < 40
+            else:
+                assert r.status is OracleStatus.INFEASIBLE
+                w, v = np.linalg.eigh(face[0])
+                assert w[0] < 0
+                assert np.linalg.norm(result.certificate - np.outer(v[:, 0], v[:, 0].conj())) <= 1e-12
+                verify_certificate(r.certificate, problem.target)
+                lifted += 1
+        assert on_face > 0 and lifted > 0
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_lifted_certificates_verify(self, rank):
+        # the face's own certificate, lifted by lift_certificate, is the
+        # oracle's answer, after the face's steps alone
+        rng = np.random.default_rng(40 + rank)
+        lifted = 0
+        while lifted < 25:
+            c = choi_from_kraus(random_channel(rng, env_dim=rank))
+            if antidegradable_test(c).margin >= -1e-3:
+                continue
+            target = c.matrix / 2
+            face = _face(c.eigen.eigenvectors[:, 4 - rank:])
+            search = _search(face, target)
+            result, steps = barrier(ExtensionProblem(target=target), search)
+            assert result.status is OracleStatus.INFEASIBLE
+            w = lift_certificate(face, target, result.certificate, search[0])
+            verify_certificate(w, target)
+            r = oracle_extendible(c)
+            assert r.status is OracleStatus.INFEASIBLE and r.iterations == steps
+            assert np.array_equal(r.certificate, w)
+            lifted += 1
+
+    @pytest.mark.parametrize("margin, beta, status, steps", [
+        (-2e-5, 0.0, OracleStatus.INFEASIBLE, 33),
+        (-2e-5, 0.5, OracleStatus.INFEASIBLE, 33),
+        (-2e-6, 0.0, OracleStatus.INFEASIBLE, 42),
+        (-2e-6, 0.5, OracleStatus.INFEASIBLE, 42),
+        (-2e-7, 0.5, OracleStatus.FEASIBLE, 36),
+    ])
+    def test_near_boundary_rank2_falls_back_to_the_full_space(self, margin, beta, status, steps):
+        # the lifted face certificate has |<W, x0>| / ||W||_F of order
+        # margin^2 and fails the rule <W, x0> < -CERT_RTOL max(1, ||W||_F),
+        # so the full space decides alone, after the face's 0 steps
+        alpha = float(np.arccos(-margin / (2 * np.cos(2 * beta)))) / 2
+        c = choi_from_kraus(rank2(alpha, beta))
+        target = c.matrix / 2
+        face = _face(c.eigen.eigenvectors[:, 2:])
+        search = _search(face, target)
+        result, face_steps = barrier(ExtensionProblem(target=target), search)
+        assert face_steps == 0 and result.status is OracleStatus.INFEASIBLE
+        assert lift_certificate(face, target, result.certificate, search[0]) is None
+        r = oracle_extendible(c)
+        assert (r.status, r.iterations) == (status, steps)
+        _decided_with_proof(r, target)
 
     @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
     def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
-        # the CP gate takes the Choi spectrum, ExtensionProblem's PSD check
-        # needs none for a PSD target, and the barrier decomposes only 8x8
-        # matrices
+        # the CP gate takes the Choi spectrum, which also decides the
+        # oracle's PSD gate, so no Cholesky factor is taken; the barrier
+        # and the lift decompose only matrices on the face or in C^8
         c = choi_from_kraus(kraus)
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "cholesky"):
             fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, fn=fn: calls.append(np.shape(a)) or fn(a))
+            monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append((name, np.shape(a))) or fn(a))
         oracle_extendible(c)
-        assert calls.count((4, 4)) == 1
+        assert [call for call in calls if call[1] == (4, 4)] == [("eigh", (4, 4))]
+        assert not [call for call in calls if call[0] == "cholesky"]
 
     def test_positive_definite_start_returns_at_once(self):
         r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4))
@@ -398,6 +490,17 @@ class TestBarrier:
     def test_inconclusive_only_at_the_cap(self):
         rng = np.random.default_rng(16)
         channels = (choi_from_kraus(random_channel(rng, env_dim=4)) for _ in range(100))
+        c = next(c for c in channels if oracle_extendible(c).iterations > 1)
+        r = oracle_extendible(c, max_iter=1)
+        assert r.status is OracleStatus.INCONCLUSIVE and r.iterations == 1
+        assert np.isfinite(r.residual) and r.witness is None and r.certificate is None
+
+    def test_face_run_at_the_cap_is_left_to_the_full_space(self):
+        # a rank-3 face run that reaches the cap answers nothing; the full
+        # space counts on from the face's steps, so it checks its start
+        # point once, at the cap
+        rng = np.random.default_rng(16)
+        channels = (choi_from_kraus(random_channel(rng, env_dim=3)) for _ in range(200))
         c = next(c for c in channels if oracle_extendible(c).iterations > 1)
         r = oracle_extendible(c, max_iter=1)
         assert r.status is OracleStatus.INCONCLUSIVE and r.iterations == 1
