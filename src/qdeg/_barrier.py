@@ -13,6 +13,7 @@ module on first use, so that ``import qdeg`` compiles none of it.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +58,8 @@ def _antisymmetric_rows() -> np.ndarray:
 @functools.cache
 def _hermitian_basis(sizes: tuple[int, ...]) -> np.ndarray:
     """Orthonormal basis (under Re tr(A^dag B)) of the block-diagonal Hermitian
-    matrices with diagonal blocks of the given sizes, as a read-only
-    (p, n, n) stack."""
+    matrices with diagonal blocks of the given sizes, each flattened row by
+    row, as a read-only (p, n * n) array."""
     n = sum(sizes)
     units = []
     first = 0
@@ -75,19 +76,38 @@ def _hermitian_basis(sizes: tuple[int, ...]) -> np.ndarray:
                 e[j, k], e[k, j] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
                 units.append(e)
         first += size
-    stack = np.stack(units)
+    stack = np.stack(units).reshape(len(units), n * n)
     stack.setflags(write=False)
     return stack
+
+
+@functools.cache
+def _marginal_basis(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis of the Hermitian r x r matrices, (r * r, r * r),
+    and its conjugate, which takes a matrix's coordinates; both read-only."""
+    basis = _hermitian_basis((r,))
+    conj = basis.conj()
+    conj.setflags(write=False)
+    return basis, conj
+
+
+@functools.cache
+def _minus_eye(k: int) -> np.ndarray:
+    """-I as a read-only (1, k, k) stack: the last direction of every search."""
+    out = -np.eye(k, dtype=np.complex128)[None]
+    out.setflags(write=False)
+    return out
 
 
 class _Face(NamedTuple):
     """The geometry of the face V of a range R; see ``_face``."""
 
-    top: np.ndarray  # 4 x r orthonormal basis of R
+    top: np.ndarray | None  # 4 x r orthonormal basis of R; None for R = C^4, whose basis is I
     a: np.ndarray  # (r * r, p) constraint map, from Y in units to R^dag tr_Y'(Q Y Q^dag) R in marginals
     solve: np.ndarray  # the least-norm solution operator of ``a``
     units: np.ndarray  # (p, k * k) orthonormal basis of the block-diagonal Y
     marginals: np.ndarray  # (r * r, r * r) orthonormal basis of the Hermitian r x r matrices
+    marginals_h: np.ndarray  # its conjugate
     basis: np.ndarray  # real views of the free directions, as rows
     directions: np.ndarray  # the free directions, then -I
     q: np.ndarray  # 8 x k orthonormal basis of V
@@ -111,33 +131,36 @@ def _face(top: np.ndarray) -> _Face | None:
     e = _tensor_eye(top)
     _, s, vh = np.linalg.svd(_antisymmetric_rows() @ e)
     # s is descending, and the rows of vh past the second span the kernel
-    n_sym, n_anti = 2 * r - 2 + np.count_nonzero(s < _CUT), np.count_nonzero(s > 1.0 - _CUT)
-    g = linalg.dagger(vh[[*range(2 * r - n_sym, 2 * r), *range(n_anti)]])
-    k = g.shape[1]
+    s = s.tolist()
+    n_sym, n_anti = 2 * r - 2 + sum(x < _CUT for x in s), sum(x > 1.0 - _CUT for x in s)
+    k = n_sym + n_anti
     if k == 0:
         return None
-    units = _hermitian_basis((n_sym, n_anti)).reshape(-1, k * k)
-    marginals = _hermitian_basis((r,)).reshape(r * r, r * r)
+    g = linalg.dagger(np.concatenate((vh[2 * r - n_sym:], vh[:n_anti])))
+    units = _hermitian_basis((n_sym, n_anti))
+    marginals, marginals_h = _marginal_basis(r)
     # gg[(i, j), (a, b)] = sum_c g[(i, c), a] conj(g[(j, c), b]), so that
     # tr_c(g Y g^dag) = gg @ vec(Y)
     gc = g.reshape(r, 2, k).transpose(1, 0, 2).reshape(2, r * k)
     gg = (gc.T @ gc.conj()).reshape(r, k, r, k).transpose(0, 2, 1, 3).reshape(r * r, k * k)
-    a = (marginals.conj() @ gg @ units.T).real
+    a = (marginals_h @ gg @ units.T).real
     u, sv, vt = np.linalg.svd(a)
-    fixed = np.count_nonzero(sv > _CUT * sv[0])
+    values = sv.tolist()
+    fixed = sum(x > _CUT * values[0] for x in values)
     solve = (vt[:fixed].T / sv[:fixed]) @ u[:, :fixed].T
     basis = vt[fixed:] @ units.view(np.float64)
     free = basis.view(np.complex128).reshape(-1, k, k)
-    directions = np.concatenate([free, -np.eye(k, dtype=np.complex128)[None]])
-    return _Face(top, a, solve, units, marginals, basis, directions, e @ g)
+    directions = np.concatenate([free, _minus_eye(k)])
+    return _Face(top, a, solve, units, marginals, marginals_h, basis, directions, e @ g)
 
 
 @functools.cache
 def _full_face() -> _Face:
     """``_face`` of R = C^4 with basis I: the full space, the same for every
-    target, so built once, on first use. Its arrays are read-only."""
-    face = _face(np.eye(4, dtype=np.complex128))
-    for array in face:
+    target, so built once, on first use. Its arrays are read-only, and its
+    ``top`` is None, so that a target is taken as it is."""
+    face = _face(np.eye(4, dtype=np.complex128))._replace(top=None)
+    for array in face[1:]:
         array.setflags(write=False)
     return face
 
@@ -146,8 +169,8 @@ def _search(face: _Face, target: np.ndarray) -> tuple | None:
     """A restricted to ``face``, searched from its least-norm point: the
     barrier's search ``(x0, basis, directions, lift)`` with lift = Q, or None
     when A misses the face."""
-    m = linalg.dagger(face.top) @ target @ face.top
-    b = (face.marginals.conj() @ m.ravel()).real
+    m = target if face.top is None else linalg.dagger(face.top) @ target @ face.top
+    b = (face.marginals_h @ m.ravel()).real
     coef = face.solve @ b
     if linalg.frobenius(face.a @ coef - b) > _CUT:
         return None
@@ -183,6 +206,27 @@ def _sym_tensor_eye() -> np.ndarray:
     return out
 
 
+def _point(problem: ExtensionProblem, y0: np.ndarray, lift: np.ndarray, start: int) -> tuple[OracleResult | None, int]:
+    """``barrier`` on a face of one point y0, which takes no step: y0 is a
+    witness, or v v^dag, v the eigenvector of its lowest eigenvalue, is its
+    certificate when <v v^dag, y0> passes the oracle's rule; else None."""
+    target, tol = problem.target, problem.tol
+    w, v = linalg._eigh(y0)
+    if w[0] >= -2.0 * tol:
+        y = _lift(lift, y0) if w[0] > 0.0 else _psd_part(w, lift @ v)
+        residual = _residual(y, target)
+        if residual <= tol:
+            return OracleResult(OracleStatus.FEASIBLE, y, residual, start), start
+    if w[0] >= 0.0:
+        return None, start
+    u = v[:, :1]
+    cert = u * u.conj().T  # <v v^dag, y0> = w[0] < 0
+    if np.vdot(cert, y0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
+        residual = _residual(_psd_part(w, lift @ v), target)
+        return OracleResult(OracleStatus.INFEASIBLE, None, residual, start, certificate=cert), start
+    return None, start
+
+
 def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[OracleResult | None, int]:
     """The barrier on ``search``, counting its Newton steps from ``start``
     up to ``problem.max_iter``.
@@ -200,15 +244,18 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
     <= 2r <= 6), W is lifted as Q W Q^dag, and a run with neither proof
     ends INCONCLUSIVE at the cap. On a face W stays in the face's
     coordinates, for ``decide`` to lift. A face of one point y0 takes no
-    step: it is a witness, or v v^dag, v the eigenvector of y0's lowest
-    eigenvalue, is its certificate when <v v^dag, y0> passes the same rule,
-    or the run returns None. A face run also returns None at the cap.
+    step (``_point``): it is a witness, or v v^dag, v the eigenvector of
+    y0's lowest eigenvalue, is its certificate when <v v^dag, y0> passes
+    the same rule, or the run returns None. A face run also returns None
+    at the cap.
     """
-    target, tol, cap = problem.target, problem.tol, problem.max_iter
     x0, basis, directions, lift = search
+    if len(directions) == 1:
+        return _point(problem, x0, lift, start)
+    target, tol, cap = problem.target, problem.tol, problem.max_iter
     k, n = len(x0), len(directions)
     final = k == 8
-    eye = np.eye(k, dtype=np.complex128)
+    eye = -directions[-1]  # the directions end with -I
     flat = directions.view(np.float64).reshape(n, 2 * k * k)
     x = x0
     w, v = linalg._eigh(x)
@@ -221,46 +268,40 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
         # the projection adds a PSD N to X with ||tr_Y'(N)|| >= tr(N) / 2
         # >= -lam_x[0] / 2, so a larger negative eigenvalue cannot pass
         if lam_x[0] >= -2.0 * tol:
-            y = _lift(lift, x if lam_x[0] > 0.0 else _psd_part(lam_x, v))
+            y = _lift(lift, x) if lam_x[0] > 0.0 else _psd_part(lam_x, lift @ v)
             residual = _residual(y, target)
             if residual <= tol:
                 return OracleResult(OracleStatus.FEASIBLE, y, residual, it), it
-        cert = None
-        if n == 1:  # one point: <v v^dag, y0> = lam_x[0]
-            if lam_x[0] >= 0.0:
-                return None, it
-            cert = np.outer(v[:, 0], v[:, 0].conj())
-        else:
-            s_inv = (v / w) @ linalg.dagger(v)
-            coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
-            # x0 is the least-norm point of A, so it is orthogonal to the D_k and
-            # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
-            if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
-                dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(k, k))
-                dual = (dual + linalg.dagger(dual)) / 2.0
-                # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
-                cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
-        if cert is not None and np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
-            residual = _residual(_lift(lift, _psd_part(lam_x, v)), target)
-            return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
-                                certificate=_lift(lift, cert) if final else cert), it
-        if n == 1:
-            return None, it
+        s_inv = (v / w) @ linalg.dagger(v)
+        coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
+        # x0 is the least-norm point of A, so it is orthogonal to the D_k and
+        # <P_{L^perp}(mu S^-1), x0> = mu <S^-1, x0>
+        if mu * np.vdot(s_inv, x0).real < -CERT_RTOL:
+            dual = mu * (s_inv - (coords[:-1] @ basis).view(np.complex128).reshape(k, k))
+            dual = (dual + linalg.dagger(dual)) / 2.0
+            # the PSD lift W = dual + c I, c = max(0, -lambda_min(dual))
+            cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
+            if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
+                residual = _residual(_psd_part(lam_x, lift @ v), target)
+                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
+                                    certificate=_lift(lift, cert) if final else cert), it
         if it == cap:
             break
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
         # A_k = D_1..D_m, -I: grad_k = -tr(S^-1 A_k) (-1/mu more for t) and
-        # hess_kl = tr(F_k F_l) with F_k = A_k S^-1
+        # hess_kl = Re tr(F_k F_l) with F_k = A_k S^-1, the real dot product
+        # of the (re, im) views of F_k and conj(F_l^T)
         f = (directions.reshape(n * k, k) @ s_inv).reshape(n, k, k)
-        hess = (f.reshape(n, k * k) @ f.transpose(0, 2, 1).reshape(n, k * k).T).real
+        f_t = f.transpose(0, 2, 1).reshape(n, k * k)
+        hess = f.reshape(n, k * k).view(np.float64) @ np.conjugate(f_t, out=f_t).view(np.float64).T
         grad = -coords
         grad[-1] -= 1.0 / mu
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Newton system failed: {exc}") from exc
-        decrement = float(np.sqrt(max(0.0, -grad @ step)))
-        if not np.isfinite(decrement):
+        decrement = math.sqrt(max(0.0, -grad @ step))
+        if not math.isfinite(decrement):
             raise NumericalFailure("Newton step is not finite")
         centred = decrement < BARRIER_CENTRED
         # a step inside the Dikin ellipsoid (decrement < 1) keeps S positive
@@ -281,7 +322,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
             mu /= BARRIER_SHRINK
     if not final:
         return None, cap
-    residual = _residual(_lift(lift, _psd_part(w + t, v)), target)
+    residual = _residual(_psd_part(w + t, lift @ v), target)
     return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, cap), cap
 
 
@@ -322,7 +363,7 @@ def lift_certificate(face: _Face, target: np.ndarray, cert: np.ndarray, x0: np.n
     scale = 1.0 / np.sqrt(d[k:])
     tau = max(0.0, -float(linalg._eigvalsh(schur * scale[:, None] * scale)[0]))
     w = sb + tau * n + eps * _EYE8
-    value = np.vdot(b + tau * kernel, target).real + eps * np.trace(target).real
+    value = np.vdot(b + tau * kernel, target).real + eps * target.trace().real
     if value < -CERT_RTOL * max(1.0, linalg.frobenius(w)):
         return w
     return None

@@ -91,10 +91,9 @@ class KrausSet:
                     f"inconsistent Kraus shapes: {k.shape} vs ({out_dim}, 2)"
                 )
         gram = sum(linalg.dagger(k) @ k for k in ops)
-        if linalg.frobenius(gram - I2) > TP_TOL:
-            raise NotTracePreserving(
-                f"sum K^dag K deviates from identity by {linalg.frobenius(gram - I2):.3e}"
-            )
+        residual = np.linalg.norm(gram - I2)
+        if residual > TP_TOL:
+            raise NotTracePreserving(f"sum K^dag K deviates from identity by {residual:.3e}")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -170,7 +169,8 @@ def validate_choi(m) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise InvalidDimension(f"Choi matrix must be 4x4, got {m.shape}")
     m = linalg.require_hermitian(m, "Choi matrix")
-    residual = np.linalg.norm(linalg._partial_trace(m, 2, 2, traced=1) - I2, axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a residual past the float range reads inf and fails
+        residual = np.linalg.norm(linalg._partial_trace(m, 2, 2, traced=1) - I2, axis=(-2, -1))
     bad = linalg.first_violation(residual, TP_TOL)
     if bad is not None:
         raise NotTracePreserving(
@@ -386,8 +386,8 @@ def rank_and_cp(eigenvalues, tol: float = DEFAULT_TOL):
     eigs = np.asarray(eigenvalues, dtype=float)
     with np.errstate(over="ignore"):
         norm = np.sqrt(np.add.reduce(eigs * eigs, axis=-1))  # np.linalg.norm's arithmetic
-    cp = (eigs[..., 0] >= -tol * np.maximum(norm, 1.0)) & np.isfinite(norm)
-    return np.sum(eigs > tol * np.sum(eigs, axis=-1)[..., None], axis=-1), cp
+    cp = (eigs[..., 0] >= -tol * np.maximum(norm, 1.0)) & (norm < np.inf)
+    return (eigs > tol * eigs.sum(axis=-1, keepdims=True)).sum(axis=-1), cp
 
 
 def not_a_channel(min_eig: float, choi: np.ndarray | None = None) -> NotAChannel:
@@ -395,7 +395,7 @@ def not_a_channel(min_eig: float, choi: np.ndarray | None = None) -> NotAChannel
     eigenvalue and the trace-preservation residual of ``choi`` (0 when the
     map is given without one, as a unital channel by its Bell weights is).
     """
-    tp = 0.0 if choi is None else linalg.frobenius(linalg._partial_trace(choi, 2, 2, traced=1) - I2)
+    tp = 0.0 if choi is None else float(np.linalg.norm(linalg._partial_trace(choi, 2, 2, traced=1) - I2))
     return NotAChannel(
         f"Choi matrix has eigenvalue {min_eig:.3e}; channel is not CP "
         f"(min Choi eigenvalue {float(min_eig)}, TP residual {tp})",

@@ -244,7 +244,9 @@ def cmd_oracle(args) -> int:
     channel = parse_channel_spec(_load_json(args.input))
     c = ch.to_choi(channel)
     analytic = antidegradable_test(c, tol=args.tol)  # the CP gate, at --tol
-    result = se.barrier_feasibility(se.ExtensionProblem(c.matrix / 2.0, args.oracle_tol, args.max_iter))
+    # the oracle's route: the Choi rank at the default tol, on the gate's spectrum
+    rank = int(ch.rank_and_cp(c.eigen.eigenvalues)[0])
+    result = se._gated_oracle(c, rank, args.oracle_tol, args.max_iter)
     doc = {
         "oracle": {
             "status": result.status.value,

@@ -17,6 +17,7 @@ explicit arguments throughout.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +63,9 @@ def row_suffix(index) -> str:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, sqrt(<a, a>), for comparisons. The residuals that
+    error messages print are ``np.linalg.norm``'s."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, traced: int) -> np.ndarray:
@@ -122,7 +124,14 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise NotHermitian(
             f"{what}{row_suffix(bad)} is not Hermitian: ||m - m^dag||_F = {residual:.3e} exceeds {bound:.3e}"
         )
-    return (m + h) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = (m + h) / 2.0
+    past = ~np.isfinite(part)
+    if past.any():
+        # halving first keeps a sum past the float range finite, but is kept
+        # to those entries: 5e-324 / 2 rounds to 0
+        part[past] = m[past] / 2.0 + h[past] / 2.0
+    return part
 
 
 def _eigh(a: np.ndarray) -> HermitianEigen:

@@ -10,18 +10,21 @@ part is L = {swap-invariant} ∩ {tr_Y' = 0}, of dimension 24; L's
 orthogonal complement holds the swap-antisymmetric matrices and every
 sym(B (x) I), because <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 
-There are two entry points. ``qdeg oracle`` applies the CP gate at
-``--tol`` and hands ``ExtensionProblem(C/2, --oracle-tol, --max-iter)``
-to ``barrier_feasibility``, which eigendecomposes the target;
-``oracle_extendible`` applies the CP gate at ``channels.DEFAULT_TOL``,
-builds its problem from the gate's spectrum without checking the matrix
-again, and hands the gate's Choi rank and eigenvectors to
-``qdeg._barrier.decide``; its ``tol`` is the witness-residual tolerance.
-Both run one log-det barrier method. On a search space with orthonormal free
-directions B_1..B_m, the extensions are X(z) = x0 + sum_k z_k B_k, with
-x0 the least-norm point of A, and the method maximizes t subject to
-S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
-the iterates centre. Both answers carry a certificate:
+A Choi matrix C is gated once. ``oracle_extendible`` applies the CP
+gate at ``channels.DEFAULT_TOL``, and ``qdeg oracle`` at ``--tol``; both
+then hand C to ``_gated_oracle`` with the Choi rank at
+``channels.DEFAULT_TOL``, which builds the problem C/2 from the gate's
+cached spectrum without checking the matrix again (``_gated_problem``,
+whose -tol gate reads the same spectrum) and hands the gate's
+eigenvectors to ``qdeg._barrier.decide``. ``barrier_feasibility`` takes
+any checked ``ExtensionProblem`` and eigendecomposes its target itself.
+The ``tol`` of a problem is the witness-residual tolerance (``qdeg
+oracle --oracle-tol``). All run one log-det barrier method. On a search
+space with orthonormal free directions B_1..B_m, the extensions are
+X(z) = x0 + sum_k z_k B_k, with x0 the least-norm point of A, and the
+method maximizes t subject to S = X(z) - t I > 0 by Newton steps on
+-t/mu - log det S, dividing mu as the iterates centre. Both answers carry
+a certificate:
 
 - FEASIBLE: X(z) if positive definite, else its PSD projection if
   lambda_min(X) >= -2 tol (this decides targets whose optimal t is zero
@@ -107,7 +110,9 @@ cross-validates it with a verifiable certificate in both directions.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +154,19 @@ class OracleStatus(str, enum.Enum):
 
 
 def _check_parameters(tol, max_iter) -> None:
-    # the CLI's rules; a bool is Integral, but no step count
-    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+    # the CLI's rules; a bool is Integral, but no step count. A NaN fails
+    # both comparisons, and so does an integer past the float range.
+    if not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max):
         raise InvalidParameter(f"tol must be a finite number > 0, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
-def _not_psd(lam_min: float, tol: float) -> NotPSD:
-    return NotPSD(f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-tol!r}")
+def _require_psd(m: np.ndarray, tol: float) -> None:
+    """Raise :class:`NotPSD` when the minimum eigenvalue of ``m`` is below ``-tol``."""
+    lam_min = float(linalg._eigvalsh(m)[0])
+    if lam_min < -tol:
+        raise NotPSD(f"target is not PSD: minimum eigenvalue {lam_min!r} is below -tol = {-tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,30 +204,38 @@ class ExtensionProblem:
         try:
             np.linalg.cholesky(m + self.tol * _EYE4)
         except np.linalg.LinAlgError:
-            lam_min = float(linalg._eigvalsh(m)[0])
-            if lam_min < -self.tol:
-                raise _not_psd(lam_min, self.tol) from None
+            _require_psd(m, self.tol)
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
 
 
 def _gated_problem(c: ChoiMatrix, tol, max_iter) -> ExtensionProblem:
     """``ExtensionProblem(C/2, tol, max_iter)`` for a Choi matrix C that
-    passed the CP gate, checked once: ``ChoiMatrix`` made C exactly
+    passed a CP gate, checked once: ``ChoiMatrix`` made C exactly
     Hermitian with its trace within sqrt(2) ``channels.TP_TOL`` of 2, so of
-    the class's checks those of the parameters are left, and the -tol gate
-    reads the minimum eigenvalue from C's cached spectrum.
+    the class's checks those of the parameters are left. The -tol gate
+    accepts from the minimum eigenvalue of C's cached spectrum; a target
+    below it is refused by the rule of ``ExtensionProblem``, which names
+    the minimum eigenvalue of C/2 itself.
     """
     _check_parameters(tol, max_iter)
-    lam_min = float(c.eigen.eigenvalues[0]) / 2.0
-    if lam_min < -tol:
-        raise _not_psd(lam_min, tol)
     target = c.matrix / 2.0
+    if float(c.eigen.eigenvalues[0]) / 2.0 < -tol:
+        _require_psd(target, tol)
     target.setflags(write=False)
     problem = object.__new__(ExtensionProblem)
-    for name, value in (("target", target), ("tol", tol), ("max_iter", max_iter)):
-        object.__setattr__(problem, name, value)
+    vars(problem).update(target=target, tol=tol, max_iter=max_iter)
     return problem
+
+
+def _gated_oracle(c: ChoiMatrix, rank: int, tol, max_iter) -> OracleResult:
+    """The barrier method on C/2 for a Choi matrix C that passed a CP gate,
+    routed by its Choi rank ``rank`` at ``channels.DEFAULT_TOL`` and searched
+    on the face that C's cached eigenvectors span: the target is neither
+    checked nor eigendecomposed again (see ``_gated_problem``)."""
+    from ._barrier import decide  # compiled on first use, not by `import qdeg`
+
+    return decide(_gated_problem(c, tol, max_iter), c.eigen.eigenvectors, rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +263,27 @@ def _tensor_eye(a: np.ndarray) -> np.ndarray:
 
 
 def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The PSD projection of the Hermitian matrix with eigenpairs (w, v)."""
+    """The PSD part v diag(max(w, 0)) v^dag of v diag(w) v^dag, v with
+    orthonormal columns: the PSD projection of the Hermitian matrix with
+    eigenpairs (w, v), or, for v = Q u, the lift Q P Q^dag of the PSD
+    projection P of the matrix with eigenpairs (w, u)."""
     out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
     return (out + linalg.dagger(out)) / 2.0
 
 
 def _residual(y: np.ndarray, target: np.ndarray) -> float:
-    """Constraint residual of a PSD iterate: both marginals and swap symmetry."""
-    sy = _swap(y)
-    r1 = linalg.frobenius(linalg._partial_trace(y, 4, 2, 1) - target)
-    r2 = linalg.frobenius(linalg._partial_trace(sy, 4, 2, 1) - target)
-    r3 = linalg.frobenius(y - sy)
-    return max(r1, r2, r3)
+    """Constraint residual of a PSD iterate: both marginals and swap symmetry.
+
+    On the axes (x, y, y') of y, the marginal of swap(y) on X (x) Y' is
+    tr_Y(y), and sqrt is monotone, so the largest of the three norms is one
+    square root.
+    """
+    t = y.reshape(2, 2, 2, 2, 2, 2)
+    marginal = target.reshape(2, 2, 2, 2)
+    r1 = t.trace(axis1=2, axis2=5) - marginal
+    r2 = t.trace(axis1=1, axis2=4) - marginal
+    r3 = t - t.transpose(0, 2, 1, 3, 5, 4)
+    return math.sqrt(max(np.vdot(r1, r1).real, np.vdot(r2, r2).real, np.vdot(r3, r3).real))
 
 
 def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
@@ -303,8 +329,5 @@ def oracle_extendible(channel, tol: float = ORACLE_TOL, max_iter: int = ORACLE_M
     Raises :class:`~qdeg.errors.NotAChannel` when ``c`` fails the CP gate
     (:func:`~qdeg.channels.choi_rank`), as every other entry point does.
     """
-    from ._barrier import decide  # compiled on first use, not by `import qdeg`
-
     c = to_choi(channel)
-    rank = choi_rank(c)
-    return decide(_gated_problem(c, tol, max_iter), c.eigen.eigenvectors, rank)
+    return _gated_oracle(c, choi_rank(c), tol, max_iter)

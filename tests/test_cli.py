@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import assert_sweep_row_matches_classify, verify_certificate, verify_witness
-from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, identity, rank2
+from qdeg.channels import BlochParams, bell_mu, choi_from_kraus, depolarizing, identity, rank2, validate_choi
 from qdeg.classify import unital_antidegradable
 from qdeg.cli import main
+from qdeg.errors import NotTracePreserving
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -374,6 +375,23 @@ class TestOracleCommand:
         assert err == ("error: not a channel: target is not PSD: minimum eigenvalue "
                        "-5.000000000823648e-07 is below -tol = -1e-07\n")
 
+    def test_oracle_decomposes_the_choi_matrix_once(self, monkeypatch, tmp_path, capsys):
+        # `qdeg oracle` gates once: the CP gate's eigh serves the route and
+        # the --oracle-tol gate, so C/2 is neither factored nor decomposed
+        # again (it took eigh, eigvalsh, cholesky, eigh); the eigvalsh is the
+        # partial transpose's, for the analytic verdict
+        path = tmp_path / "chan.json"
+        path.write_text('{"kind": "named", "name": "amplitude_damping", "alpha": 0.3}')
+        calls = []
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, fn=fn, name=name, **kw:
+                                calls.append((name, np.shape(a))) or fn(a, *args, **kw))
+        assert main(["oracle", str(path)]) == 0
+        assert '"status": "infeasible"' in capsys.readouterr().out
+        assert [call for call in calls if call[1] == (4, 4)] == [("eigh", (4, 4)), ("eigvalsh", (4, 4))]
+        assert not [call for call in calls if call[0] == "cholesky"]
+
 
 class TestSweepCommand:
     def test_rank2_sign_pattern(self, tmp_path, capsys):
@@ -730,6 +748,21 @@ class TestOverflow:
         assert (code, out) == (2, "")
         assert err == ("error: not a channel: Choi matrix is not Hermitian: ||m - m^dag||_F = 2.828e+160 "
                        "exceeds 1.414e+150\n")
+
+    def test_largest_finite_choi_entries_fail_trace_preservation(self, tmp_path, capsys):
+        # the Hermitian part overflowed: it printed "eigenvalue nan ... TP
+        # residual nan", and a library caller under -W error stopped on a warning
+        doc = {"kind": "choi", "matrix": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}
+        for command in ("classify", "oracle"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, [command, write_spec(tmp_path, doc)])
+            assert (code, out) == (2, "")
+            assert err == "error: not a channel: output marginal deviates from identity by inf\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotTracePreserving, match=r"^output marginal deviates from identity by inf$"):
+                validate_choi(np.diag([1e308, 0.0, 0.0, 1.0]))
 
     def test_overflowing_choi_entries_are_not_finite(self, tmp_path, capsys):
         doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1e308, 1e308, 1e308]}

@@ -152,6 +152,20 @@ class TestHermitianEigen:
             big = (m + m.conj().T) * 1e140
             assert np.array_equal(require_hermitian(big), big)
 
+    def test_hermitian_part_of_the_largest_entries_is_finite(self):
+        # (m + m^dag) / 2 overflowed to inf (and to nan in the imaginary part)
+        # for entries above about 9e307
+        huge = np.diag([1e308, 0.0, 0.0, 1.0]).astype(complex)
+        huge[0, 1], huge[1, 0] = 1.7e308 + 1e308j, 1.7e308 - 1e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(require_hermitian(huge), huge)
+            # the other rows of a stack keep the exact part: halving 5e-324
+            # first would round it to 0
+            tiny = np.full((4, 4), 5e-324, dtype=complex)
+            part = require_hermitian(np.stack([tiny, huge]))
+        assert np.array_equal(part, np.stack([tiny, huge]))
+
 
 def psd_check(m) -> bool:
     """The CP gate of rank_and_cp, the PSD test of every channel entry point."""

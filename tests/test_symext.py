@@ -186,6 +186,7 @@ class TestExtensionProblem:
     @pytest.mark.parametrize("name, value", [
         ("max_iter", -1), ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
         ("tol", -1.0), ("tol", float("nan")), ("tol", 0.0),
+        pytest.param("tol", 10**400, id="tol-10**400"),  # past the float range: it raised TypeError
     ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
     def test_parameters_checked(self, name, value):
         with pytest.raises(InvalidParameter, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
@@ -468,19 +469,42 @@ class TestBarrier:
         assert (r.status, r.iterations) == (status, steps)
         _decided_with_proof(r, target)
 
-    @pytest.mark.parametrize("kraus", [depolarizing(0.4), amplitude_damping(0.3)], ids=["rank4", "rank2"])
-    def test_one_target_eigendecomposition_per_call(self, monkeypatch, kraus):
-        # the CP gate takes the Choi spectrum, which also decides the
-        # oracle's PSD gate, so no Cholesky factor is taken; the barrier
-        # and the lift decompose only matrices on the face or in C^8
-        c = choi_from_kraus(kraus)
+    @pytest.mark.parametrize("channel, status, steps, counts", [
+        ((61, 1, 0), "infeasible", 0, {("eigh", (4, 4)): 1, ("eigh", (8, 8)): 1, ("eigvalsh", (8, 8)): 1}),
+        ((62, 2, 1), "feasible", 0, {("eigh", (4, 4)): 1, ("eigh", (2, 2)): 1, ("svd", (2, 4)): 1, ("svd", (4, 4)): 1}),
+        (amplitude_damping(0.3), "infeasible", 0, {("eigh", (4, 4)): 1, ("eigh", (2, 2)): 1, ("eigh", (8, 8)): 1,
+                                                   ("svd", (2, 4)): 1, ("svd", (4, 4)): 1, ("solve", (2, 2)): 1,
+                                                   ("eigvalsh", (6, 6)): 1}),
+        ((63, 3, 4), "feasible", 1, {("eigh", (4, 4)): 3, ("svd", (2, 6)): 1, ("svd", (9, 16)): 1, ("solve", (8, 8)): 1}),
+        ((63, 3, 7), "infeasible", 0, {("eigh", (4, 4)): 2, ("eigh", (8, 8)): 1, ("svd", (2, 6)): 1, ("svd", (9, 16)): 1,
+                                       ("eigvalsh", (4, 4)): 2, ("solve", (4, 4)): 1}),
+        (depolarizing(0.4), "feasible", 2, {("eigh", (4, 4)): 1, ("eigh", (8, 8)): 3, ("eigvalsh", (8, 8)): 1,
+                                            ("solve", (25, 25)): 2}),
+        (depolarizing(0.3), "infeasible", 0, {("eigh", (4, 4)): 1, ("eigh", (8, 8)): 1, ("eigvalsh", (8, 8)): 1}),
+    ], ids=["rank1", "rank2-feasible", "rank2", "rank3-feasible", "rank3-infeasible", "rank4", "rank4-infeasible"])
+    def test_one_target_eigendecomposition_per_call(self, monkeypatch, channel, status, steps, counts):
+        # one seeded target per (rank, status) class; a (seed, rank, index)
+        # triple names item `index` of random_channel(default_rng(seed), rank).
+        # The CP gate's spectrum also decides the oracle's PSD gate, so the
+        # target is decomposed once (the 4x4 eigh; at rank 3 the face's
+        # matrices are 4x4 too) and no Cholesky factor is taken. No
+        # decomposition may be added: each count is at most the given one,
+        # by function and shape. The full space is built first, once per
+        # process, so that its two SVDs are not counted.
+        if isinstance(channel, tuple):
+            seed, rank, index = channel
+            rng = np.random.default_rng(seed)
+            channel = [random_channel(rng, env_dim=rank) for _ in range(index + 1)][-1]
+        oracle_extendible(depolarizing(0.4))
         calls = []
-        for name in ("eigh", "eigvalsh", "cholesky"):
+        for name in ("eigh", "eigvalsh", "svd", "solve", "cholesky"):
             fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append((name, np.shape(a))) or fn(a))
-        oracle_extendible(c)
-        assert [call for call in calls if call[1] == (4, 4)] == [("eigh", (4, 4))]
-        assert not [call for call in calls if call[0] == "cholesky"]
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, fn=fn, name=name, **kw:
+                                calls.append((name, np.shape(a))) or fn(a, *args, **kw))
+        r = oracle_extendible(channel)
+        assert (r.status.value, r.iterations) == (status, steps)
+        seen = {call: calls.count(call) for call in calls}
+        assert all(seen[call] <= counts.get(call, 0) for call in seen), seen
 
     def test_positive_definite_start_returns_at_once(self):
         r = barrier_feasibility(ExtensionProblem(target=np.eye(4, dtype=complex) / 4))
