@@ -1,13 +1,15 @@
 """The log-det barrier of the symmetric-extension oracle.
 
 ``barrier`` is the one Newton loop. It searches the affine set A of
-``qdeg.symext`` restricted to a face of the target's range, and
-``face_search`` builds every such search space: the face of a
-rank-deficient target, or the full space, which is the face of a
-full-rank one. ``lift_certificate`` turns a face's certificate into an
-8x8 one, and ``decide`` routes a target between the two spaces. The
-derivation is in the ``qdeg.symext`` docstring. ``symext`` imports this
-module on first use, so that ``import qdeg`` compiles none of it.
+``qdeg.symext`` restricted to a ``_Face`` of the target's range, from the
+face's least-norm point (``_search``), and always answers with one
+``OracleResult``. ``_face`` builds every face: that of a rank-deficient
+target, or the full space, which is the face of a full-rank one
+(``_full_face``). ``decide`` routes a target between the two spaces and
+lifts every certificate to 8x8, by Q W Q^dag in the full space and by
+``lift_certificate`` on a face. The derivation is in the ``qdeg.symext``
+docstring. ``symext`` imports this module on first use, so that
+``import qdeg`` compiles none of it.
 """
 
 from __future__ import annotations
@@ -20,19 +22,14 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure
-from .symext import (
-    BARRIER_CENTRED,
-    BARRIER_SHRINK,
-    BARRIER_START_GAP,
-    CERT_RTOL,
-    ExtensionProblem,
-    OracleResult,
-    OracleStatus,
-    _psd_part,
-    _residual,
-    _swap,
-    _tensor_eye,
-)
+from .symext import CERT_RTOL, ExtensionProblem, OracleResult, OracleStatus
+
+#: Path following: the start sets S = X - t I this far above singular, a
+#: Newton decrement below BARRIER_CENTRED counts as centred (and takes a
+#: full step), and each centred step divides mu by BARRIER_SHRINK.
+BARRIER_START_GAP = 1.0 / 32.0
+BARRIER_CENTRED = 1.0
+BARRIER_SHRINK = 50.0
 
 # On the face: a singular value of P_anti (R (x) I) below _CUT (above
 # 1 - _CUT) marks a swap-symmetric (antisymmetric) direction of V, a
@@ -44,6 +41,42 @@ _CUT = 1e-9
 
 _EYE4 = np.eye(4)
 _EYE8 = np.eye(8)
+_I2_AXES = np.eye(2, dtype=np.complex128).reshape(1, 2, 1, 2)
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """swap(Y, Y') m swap(Y, Y') as a permutation of tensor axes."""
+    return m.reshape(2, 2, 2, 2, 2, 2).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+
+
+def _tensor_eye(a: np.ndarray) -> np.ndarray:
+    """``np.kron(a, I2)`` as a broadcast product."""
+    rows, cols = a.shape
+    return (a[:, None, :, None] * _I2_AXES).reshape(2 * rows, 2 * cols)
+
+
+def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The PSD part v diag(max(w, 0)) v^dag of v diag(w) v^dag, v with
+    orthonormal columns: the PSD projection of the Hermitian matrix with
+    eigenpairs (w, v), or, for v = Q u, the lift Q P Q^dag of the PSD
+    projection P of the matrix with eigenpairs (w, u)."""
+    out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
+    return (out + linalg.dagger(out)) / 2.0
+
+
+def _residual(y: np.ndarray, target: np.ndarray) -> float:
+    """Constraint residual of a PSD iterate: both marginals and swap symmetry.
+
+    On the axes (x, y, y') of y, the marginal of swap(y) on X (x) Y' is
+    tr_Y(y), and sqrt is monotone, so the largest of the three norms is one
+    square root.
+    """
+    t = y.reshape(2, 2, 2, 2, 2, 2)
+    marginal = target.reshape(2, 2, 2, 2)
+    r1 = t.trace(axis1=2, axis2=5) - marginal
+    r2 = t.trace(axis1=1, axis2=4) - marginal
+    r3 = t - t.transpose(0, 2, 1, 3, 5, 4)
+    return math.sqrt(max(np.vdot(r1, r1).real, np.vdot(r2, r2).real, np.vdot(r3, r3).real))
 
 
 @functools.cache
@@ -82,13 +115,12 @@ def _hermitian_basis(sizes: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.cache
-def _marginal_basis(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal basis of the Hermitian r x r matrices, (r * r, r * r),
-    and its conjugate, which takes a matrix's coordinates; both read-only."""
-    basis = _hermitian_basis((r,))
-    conj = basis.conj()
+def _marginal_basis(r: int) -> np.ndarray:
+    """The conjugate of the orthonormal basis of the Hermitian r x r
+    matrices, (r * r, r * r), which takes a matrix's coordinates; read-only."""
+    conj = _hermitian_basis((r,)).conj()
     conj.setflags(write=False)
-    return basis, conj
+    return conj
 
 
 @functools.cache
@@ -106,10 +138,8 @@ class _Face(NamedTuple):
     a: np.ndarray  # (r * r, p) constraint map, from Y in units to R^dag tr_Y'(Q Y Q^dag) R in marginals
     solve: np.ndarray  # the least-norm solution operator of ``a``
     units: np.ndarray  # (p, k * k) orthonormal basis of the block-diagonal Y
-    marginals: np.ndarray  # (r * r, r * r) orthonormal basis of the Hermitian r x r matrices
-    marginals_h: np.ndarray  # its conjugate
-    basis: np.ndarray  # real views of the free directions, as rows
-    directions: np.ndarray  # the free directions, then -I
+    marginals_h: np.ndarray  # (r * r, r * r) conjugate of an orthonormal basis of the Hermitian r x r matrices
+    directions: np.ndarray  # the orthonormal free directions, then -I
     q: np.ndarray  # 8 x k orthonormal basis of V
 
 
@@ -123,9 +153,9 @@ def _face(top: np.ndarray) -> _Face | None:
     Q Y Q^dag is R tr_c(g Y g^dag) R^dag, so on the face A is
     {Y block-diagonal : tr_c(g Y g^dag) = R^dag target R}, a linear system
     ``a`` from the coordinates of Y in ``units`` to those of an r x r
-    Hermitian matrix in ``marginals``: r^2 rows, one per real degree of
-    freedom. Its least-norm solution is ``solve`` times the coordinates of
-    R^dag target R.
+    Hermitian matrix, which ``marginals_h`` takes: r^2 rows, one per real
+    degree of freedom. Its least-norm solution is ``solve`` times the
+    coordinates of R^dag target R.
     """
     r = top.shape[1]
     e = _tensor_eye(top)
@@ -138,7 +168,7 @@ def _face(top: np.ndarray) -> _Face | None:
         return None
     g = linalg.dagger(np.concatenate((vh[2 * r - n_sym:], vh[:n_anti])))
     units = _hermitian_basis((n_sym, n_anti))
-    marginals, marginals_h = _marginal_basis(r)
+    marginals_h = _marginal_basis(r)
     # gg[(i, j), (a, b)] = sum_c g[(i, c), a] conj(g[(j, c), b]), so that
     # tr_c(g Y g^dag) = gg @ vec(Y)
     gc = g.reshape(r, 2, k).transpose(1, 0, 2).reshape(2, r * k)
@@ -148,10 +178,9 @@ def _face(top: np.ndarray) -> _Face | None:
     values = sv.tolist()
     fixed = sum(x > _CUT * values[0] for x in values)
     solve = (vt[:fixed].T / sv[:fixed]) @ u[:, :fixed].T
-    basis = vt[fixed:] @ units.view(np.float64)
-    free = basis.view(np.complex128).reshape(-1, k, k)
+    free = (vt[fixed:] @ units.view(np.float64)).view(np.complex128).reshape(-1, k, k)
     directions = np.concatenate([free, _minus_eye(k)])
-    return _Face(top, a, solve, units, marginals, marginals_h, basis, directions, e @ g)
+    return _Face(top, a, solve, units, marginals_h, directions, e @ g)
 
 
 @functools.cache
@@ -165,29 +194,15 @@ def _full_face() -> _Face:
     return face
 
 
-def _search(face: _Face, target: np.ndarray) -> tuple | None:
-    """A restricted to ``face``, searched from its least-norm point: the
-    barrier's search ``(x0, basis, directions, lift)`` with lift = Q, or None
-    when A misses the face."""
+def _search(face: _Face, target: np.ndarray) -> np.ndarray | None:
+    """The least-norm point of A restricted to ``face``, from which the
+    barrier searches it, or None when A misses the face."""
     m = target if face.top is None else linalg.dagger(face.top) @ target @ face.top
     b = (face.marginals_h @ m.ravel()).real
     coef = face.solve @ b
     if linalg.frobenius(face.a @ coef - b) > _CUT:
         return None
-    k = face.q.shape[1]
-    return (coef @ face.units).reshape(k, k), face.basis, face.directions, face.q
-
-
-def face_search(target: np.ndarray, vectors: np.ndarray, r: int) -> tuple | None:
-    """A restricted to the face V of a target of Choi rank r.
-
-    R is spanned by the last r columns of ``vectors``, the target's
-    eigenvectors in ascending order; at r = 4 it is C^4, with the basis I,
-    and V is the whole swap-invariant space. Returns the barrier's search
-    (see ``_search``), or None when V = {0} or A misses the face.
-    """
-    face = _full_face() if r == 4 else _face(vectors[:, 4 - r:])
-    return None if face is None else _search(face, target)
+    return (coef @ face.units).reshape(face.directions.shape[1:])
 
 
 def _lift(q: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -206,57 +221,48 @@ def _sym_tensor_eye() -> np.ndarray:
     return out
 
 
-def _point(problem: ExtensionProblem, y0: np.ndarray, lift: np.ndarray, start: int) -> tuple[OracleResult | None, int]:
+def _point(problem: ExtensionProblem, q: np.ndarray, y0: np.ndarray) -> OracleResult:
     """``barrier`` on a face of one point y0, which takes no step: y0 is a
     witness, or v v^dag, v the eigenvector of its lowest eigenvalue, is its
-    certificate when <v v^dag, y0> passes the oracle's rule; else None."""
+    certificate when <v v^dag, y0> passes the oracle's rule; otherwise the
+    run ends INCONCLUSIVE at 0 steps."""
     target, tol = problem.target, problem.tol
     w, v = linalg._eigh(y0)
     if w[0] >= -2.0 * tol:
-        y = _lift(lift, y0) if w[0] > 0.0 else _psd_part(w, lift @ v)
+        y = _lift(q, y0) if w[0] > 0.0 else _psd_part(w, q @ v)
         residual = _residual(y, target)
         if residual <= tol:
-            return OracleResult(OracleStatus.FEASIBLE, y, residual, start), start
-    if w[0] >= 0.0:
-        return None, start
+            return OracleResult(OracleStatus.FEASIBLE, y, residual, 0)
+    residual = _residual(_psd_part(w, q @ v), target)
     u = v[:, :1]
-    cert = u * u.conj().T  # <v v^dag, y0> = w[0] < 0
+    cert = u * u.conj().T  # <v v^dag, y0> = w[0]
     if np.vdot(cert, y0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
-        residual = _residual(_psd_part(w, lift @ v), target)
-        return OracleResult(OracleStatus.INFEASIBLE, None, residual, start, certificate=cert), start
-    return None, start
+        return OracleResult(OracleStatus.INFEASIBLE, None, residual, 0, certificate=cert)
+    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, 0)
 
 
-def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[OracleResult | None, int]:
-    """The barrier on ``search``, counting its Newton steps from ``start``
-    up to ``problem.max_iter``.
+def barrier(problem: ExtensionProblem, face: _Face, x0: np.ndarray, start: int = 0) -> OracleResult:
+    """The barrier on A restricted to ``face``, from its least-norm point
+    ``x0`` (see ``_search``), counting its Newton steps from ``start`` up
+    to ``problem.max_iter``.
 
-    ``search = (x0, basis, directions, lift)`` is an affine set
-    {x0 + sum_k z_k D_k} from ``face_search``: ``basis`` holds the real
-    views of the orthonormal D_k as rows, ``directions`` the stack
-    D_1..D_m, -I, and ``lift`` is Q, which maps a point Y of the set to its
-    8x8 extension Q Y Q^dag.
-
-    Returns ``(result, steps)``. A run ends FEASIBLE with the witness
-    Q Y Q^dag or INFEASIBLE with a certificate W, PSD, orthogonal to the
-    set's linear part and negative on it. In the full space, the only
-    search of dimension 8 (a face of a rank-r target has dimension
-    <= 2r <= 6), W is lifted as Q W Q^dag, and a run with neither proof
-    ends INCONCLUSIVE at the cap. On a face W stays in the face's
-    coordinates, for ``decide`` to lift. A face of one point y0 takes no
-    step (``_point``): it is a witness, or v v^dag, v the eigenvector of
-    y0's lowest eigenvalue, is its certificate when <v v^dag, y0> passes
-    the same rule, or the run returns None. A face run also returns None
-    at the cap.
+    The set is {x0 + sum_k z_k D_k}, the D_k the orthonormal free
+    directions of ``face``, and Q = ``face.q`` maps its point Y to the 8x8
+    extension Q Y Q^dag. The run ends in one ``OracleResult``: FEASIBLE
+    with the witness Q Y Q^dag; INFEASIBLE with a certificate W in the
+    face's coordinates, PSD, orthogonal to the D_k and negative at x0, for
+    ``decide`` to lift to 8x8; or INCONCLUSIVE at the cap, with the
+    residual of the last iterate's PSD projection, on a face as in the
+    full space. A face of one point takes no step (``_point``).
     """
-    x0, basis, directions, lift = search
+    directions, lift = face.directions, face.q
     if len(directions) == 1:
-        return _point(problem, x0, lift, start)
+        return _point(problem, lift, x0)
     target, tol, cap = problem.target, problem.tol, problem.max_iter
     k, n = len(x0), len(directions)
-    final = k == 8
     eye = -directions[-1]  # the directions end with -I
     flat = directions.view(np.float64).reshape(n, 2 * k * k)
+    basis = flat[:-1]  # the free directions' real views, as rows
     x = x0
     w, v = linalg._eigh(x)
     # S = X - t I starts BARRIER_START_GAP above singular; mu zeroes the t-gradient
@@ -271,7 +277,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
             y = _lift(lift, x) if lam_x[0] > 0.0 else _psd_part(lam_x, lift @ v)
             residual = _residual(y, target)
             if residual <= tol:
-                return OracleResult(OracleStatus.FEASIBLE, y, residual, it), it
+                return OracleResult(OracleStatus.FEASIBLE, y, residual, it)
         s_inv = (v / w) @ linalg.dagger(v)
         coords = flat @ s_inv.view(np.float64).ravel()  # <A_k, S^-1>, A = D_1..D_m, -I
         # x0 is the least-norm point of A, so it is orthogonal to the D_k and
@@ -283,8 +289,7 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
             cert = dual + max(0.0, -float(linalg._eigvalsh(dual)[0])) * eye
             if np.vdot(cert, x0).real < -CERT_RTOL * max(1.0, linalg.frobenius(cert)):
                 residual = _residual(_psd_part(lam_x, lift @ v), target)
-                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it,
-                                    certificate=_lift(lift, cert) if final else cert), it
+                return OracleResult(OracleStatus.INFEASIBLE, None, residual, it, certificate=cert)
         if it == cap:
             break
         # Newton step on f = -t / mu - log det S over (z, t), S moving along
@@ -320,10 +325,8 @@ def barrier(problem: ExtensionProblem, search: tuple, start: int = 0) -> tuple[O
         x, t, w, v = x_new, t_new, w_new, v_new
         if centred:
             mu /= BARRIER_SHRINK
-    if not final:
-        return None, cap
     residual = _residual(_psd_part(w + t, lift @ v), target)
-    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, cap), cap
+    return OracleResult(OracleStatus.INCONCLUSIVE, None, residual, cap)
 
 
 def lift_certificate(face: _Face, target: np.ndarray, cert: np.ndarray, x0: np.ndarray) -> np.ndarray | None:
@@ -347,7 +350,7 @@ def lift_certificate(face: _Face, target: np.ndarray, cert: np.ndarray, x0: np.n
     top, top_h = face.top, linalg.dagger(face.top)
     r, k = top.shape[1], face.q.shape[1]
     eta = face.solve.T @ (face.units.view(np.float64) @ cert.view(np.float64).ravel())
-    b = top @ (eta @ face.marginals).reshape(r, r) @ top_h
+    b = top @ (eta @ face.marginals_h.conj()).reshape(r, r) @ top_h
     kernel = _EYE4 - top @ top_h
     sym = _sym_tensor_eye()
     sb, n = (sym @ b.ravel()).reshape(8, 8), (sym @ kernel.ravel()).reshape(8, 8)
@@ -364,9 +367,7 @@ def lift_certificate(face: _Face, target: np.ndarray, cert: np.ndarray, x0: np.n
     tau = max(0.0, -float(linalg._eigvalsh(schur * scale[:, None] * scale)[0]))
     w = sb + tau * n + eps * _EYE8
     value = np.vdot(b + tau * kernel, target).real + eps * target.trace().real
-    if value < -CERT_RTOL * max(1.0, linalg.frobenius(w)):
-        return w
-    return None
+    return w if value < -CERT_RTOL * max(1.0, linalg.frobenius(w)) else None
 
 
 def decide(problem: ExtensionProblem, vectors: np.ndarray, rank: int) -> OracleResult:
@@ -375,18 +376,23 @@ def decide(problem: ExtensionProblem, vectors: np.ndarray, rank: int) -> OracleR
     lifts to 8x8. The full space, the face of rank 4, decides ranks 1 and 4
     and whatever the face leaves open: a face V = {0} or one that A misses,
     a face run that reaches the cap, and a lifted certificate that fails
-    the oracle's rule, as near-boundary targets' do. Its steps count after
-    the face's."""
-    result, steps = None, 0
-    if rank in (2, 3):
-        face = _face(vectors[:, 4 - rank:])
-        search = None if face is None else _search(face, problem.target)
-        if search is not None:
-            result, steps = barrier(problem, search)
-        if result is not None and result.status is OracleStatus.INFEASIBLE:
-            cert = lift_certificate(face, problem.target, result.certificate, search[0])
-            result = None if cert is None else OracleResult(
-                OracleStatus.INFEASIBLE, None, result.residual, steps, certificate=cert)
-    if result is None:
-        result, _ = barrier(problem, face_search(problem.target, vectors, 4), start=steps)
+    the oracle's rule, as near-boundary targets' do. Its steps count on
+    from the face result's, and its certificate is lifted as Q W Q^dag."""
+    steps = 0
+    face = _face(vectors[:, 4 - rank:]) if rank in (2, 3) else None
+    x0 = None if face is None else _search(face, problem.target)
+    if x0 is not None:
+        result = barrier(problem, face, x0)
+        if result.status is OracleStatus.FEASIBLE:
+            return result
+        if result.status is OracleStatus.INFEASIBLE:
+            cert = lift_certificate(face, problem.target, result.certificate, x0)
+            if cert is not None:
+                return OracleResult(OracleStatus.INFEASIBLE, None, result.residual, result.iterations, certificate=cert)
+        steps = result.iterations
+    face = _full_face()
+    result = barrier(problem, face, _search(face, problem.target), start=steps)
+    if result.status is OracleStatus.INFEASIBLE:
+        result = OracleResult(OracleStatus.INFEASIBLE, None, result.residual, result.iterations,
+                              certificate=_lift(face.q, result.certificate))
     return result

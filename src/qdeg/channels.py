@@ -25,6 +25,8 @@ Conventions used consistently across the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,8 +60,8 @@ DEFAULT_TOL = 1e-9
 #: (:meth:`PauliTransfer.is_diagonal`, :func:`bloch_from_choi`).
 _DIAGONAL_TOL = 1e-10
 
-#: Every tol must lie below this. The top eigenvalue of a Choi spectrum is at
-#: least tr(C) / 4, so a rank cutoff tol * tr(C) below it keeps the rank >= 1.
+#: Every tol must lie in (0, TOL_LIMIT). The top eigenvalue of a Choi spectrum
+#: is at least tr(C) / 4, so a rank cutoff tol * tr(C) below it keeps the rank >= 1.
 TOL_LIMIT = 0.25
 
 
@@ -169,8 +171,11 @@ def validate_choi(m) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise InvalidDimension(f"Choi matrix must be 4x4, got {m.shape}")
     m = linalg.require_hermitian(m, "Choi matrix")
-    with np.errstate(over="ignore"):  # a residual past the float range reads inf and fails
-        residual = np.linalg.norm(linalg._partial_trace(m, 2, 2, traced=1) - I2, axis=(-2, -1))
+    # the norm is taken of the marginal's deviation divided by its largest
+    # |entry| and scaled back; a deviation past the float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, scaled = linalg.entry_scale(linalg._partial_trace(m, 2, 2, traced=1) - I2)
+        residual = np.where(s < np.inf, np.linalg.norm(scaled, axis=(-2, -1)) * s, np.inf)
     bad = linalg.first_violation(residual, TP_TOL)
     if bad is not None:
         raise NotTracePreserving(
@@ -231,10 +236,16 @@ class Rank2Params:
     beta: float
 
     def __post_init__(self):
+        # the closed forms take cos(2 alpha) and cos(2 beta); float() of an
+        # integer past the float range raises OverflowError
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
+            try:
+                ok = isinstance(value, numbers.Real) and math.isfinite(2.0 * float(value))
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise InvalidParameter(f"{name} must be a real number whose double is finite, got {value!r}")
 
 
 def bell_mu(lam) -> np.ndarray:
@@ -366,10 +377,14 @@ def phi_of_identity(c: ChoiMatrix) -> np.ndarray:
 
 
 def check_tol(tol: float) -> None:
-    """Raise :class:`InvalidParameter` unless ``tol < TOL_LIMIT``."""
-    if not tol < TOL_LIMIT:
-        raise InvalidParameter(f"tol must be below {TOL_LIMIT}, got {tol!r}: a rank cutoff "
-                               f"tol * tr(C) >= tr(C) / 4 can exceed every Choi eigenvalue")
+    """Raise :class:`InvalidParameter` unless ``0 < tol < TOL_LIMIT``; a NaN
+    fails. At tol <= 0 the CP gate, ``-tol * max(1, ||C||_F)``, would refuse
+    the rounding error of a zero eigenvalue."""
+    if not 0 < tol < TOL_LIMIT:
+        if tol >= TOL_LIMIT:
+            raise InvalidParameter(f"tol must be below {TOL_LIMIT}, got {tol!r}: a rank cutoff "
+                                   f"tol * tr(C) >= tr(C) / 4 can exceed every Choi eigenvalue")
+        raise InvalidParameter(f"tol must be a number > 0, got {tol!r}")
 
 
 def rank_and_cp(eigenvalues, tol: float = DEFAULT_TOL):

@@ -62,6 +62,15 @@ def row_suffix(index) -> str:
     return f" (row {', '.join(map(str, index))})" if index else ""
 
 
+def entry_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = max(1, the largest |entry|) of a matrix, or of each matrix of a
+    stack, and m / s. The squares in a norm of m / s cannot overflow, so
+    s times that norm is the norm of m, inf only past the float range;
+    undivided, the squares overflow for entries above about 1e154."""
+    s = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    return s, m / s[..., None, None]
+
+
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, sqrt(<a, a>), for comparisons. The residuals that
     error messages print are ``np.linalg.norm``'s."""
@@ -106,15 +115,13 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     Raises :class:`NotHermitian`, naming ``what``, the stack row and the
     residual ``||m - m^dag||_F``, when that residual exceeds
     ``HERMITICITY_RTOL * max(1, ||m||_F)``. Both sides are compared divided
-    by s = max(1, the largest |entry|), where neither norm can overflow;
-    undivided, both overflowed to inf for entries above about 1e154, and
-    ``inf > inf`` is false.
+    by s of :func:`entry_scale`, where neither norm can overflow;
+    undivided, both overflowed to inf, and ``inf > inf`` is false.
     """
     if m.shape[-2] != m.shape[-1]:
         raise NotHermitian(f"{what} of shape {m.shape} is not square")
     h = m.conj().swapaxes(-1, -2)
-    s = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    ms = m / s[..., None, None]
+    s, ms = entry_scale(m)
     residual = np.linalg.norm(ms - ms.conj().swapaxes(-1, -2), axis=(-2, -1))
     bound = HERMITICITY_RTOL * np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0 / s)
     bad = first_violation(residual, bound)

@@ -10,21 +10,23 @@ part is L = {swap-invariant} ∩ {tr_Y' = 0}, of dimension 24; L's
 orthogonal complement holds the swap-antisymmetric matrices and every
 sym(B (x) I), because <sym(B (x) I), X> = <B, tr_Y'(X)> = 0 on L.
 
-A Choi matrix C is gated once. ``oracle_extendible`` applies the CP
-gate at ``channels.DEFAULT_TOL``, and ``qdeg oracle`` at ``--tol``; both
-then hand C to ``_gated_oracle`` with the Choi rank at
-``channels.DEFAULT_TOL``, which builds the problem C/2 from the gate's
-cached spectrum without checking the matrix again (``_gated_problem``,
-whose -tol gate reads the same spectrum) and hands the gate's
-eigenvectors to ``qdeg._barrier.decide``. ``barrier_feasibility`` takes
-any checked ``ExtensionProblem`` and eigendecomposes its target itself.
-The ``tol`` of a problem is the witness-residual tolerance (``qdeg
-oracle --oracle-tol``). All run one log-det barrier method. On a search
-space with orthonormal free directions B_1..B_m, the extensions are
-X(z) = x0 + sum_k z_k B_k, with x0 the least-norm point of A, and the
-method maximizes t subject to S = X(z) - t I > 0 by Newton steps on
--t/mu - log det S, dividing mu as the iterates centre. Both answers carry
-a certificate:
+A target has one PSD gate: it is refused when its minimum eigenvalue is
+below -tol (``_require_psd``), the ``tol`` of a problem being the
+witness-residual tolerance (``qdeg oracle --oracle-tol``).
+``ExtensionProblem`` reads that eigenvalue from the target's spectrum. A
+Choi matrix C is gated once. ``oracle_extendible`` applies the CP gate at
+``channels.DEFAULT_TOL``, and ``qdeg oracle`` at ``--tol``; both then
+hand C to ``_gated_oracle`` with the Choi rank at
+``channels.DEFAULT_TOL``, which builds the problem C/2 without checking
+the matrix again (``_gated_problem``, whose -tol gate reads the CP gate's
+cached spectrum) and hands the gate's eigenvectors to
+``qdeg._barrier.decide``. ``barrier_feasibility`` takes any checked
+``ExtensionProblem`` and eigendecomposes its target itself. All run one
+log-det barrier method. On a search space with orthonormal free
+directions B_1..B_m, the extensions are X(z) = x0 + sum_k z_k B_k, with
+x0 the least-norm point of A, and the method maximizes t subject to
+S = X(z) - t I > 0 by Newton steps on -t/mu - log det S, dividing mu as
+the iterates centre. Both answers carry a certificate:
 
 - FEASIBLE: X(z) if positive definite, else its PSD projection if
   lambda_min(X) >= -2 tol (this decides targets whose optimal t is zero
@@ -62,7 +64,10 @@ orthonormal basis of V adapted to the split and Y block-diagonal. On the
 face, A is the set of such Y with tr_Y'(Q Y Q^dag) = target, and the
 barrier runs on Y; its witness is lifted to 8x8 as Q Y Q^dag (and in the
 full space, where Q is unitary, its certificate as Q W Q^dag). One
-builder, ``qdeg._barrier.face_search``, makes every search space. The
+builder, ``qdeg._barrier._face``, makes every search space, and the
+barrier has one contract on all of them: it searches a face from the
+face's least-norm point and answers with a witness, a certificate in the
+face's own coordinates, or INCONCLUSIVE at the step cap. The
 full space is the face of a full-rank target: R = C^4 with the basis I,
 V = C^8, Q the unitary that splits C^8 into its 6 swap-symmetric and 2
 antisymmetric directions, and 24 free directions spanning L. That
@@ -110,7 +115,6 @@ cross-validates it with a verifiable certificate in both directions.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -118,7 +122,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import I2, ChoiMatrix, choi_rank, rank_and_cp, to_choi
+from .channels import ChoiMatrix, choi_rank, rank_and_cp, to_choi
 from .errors import InvalidDimension, InvalidParameter, NotPSD
 
 #: Default residual tolerance for declaring feasibility.
@@ -135,16 +139,6 @@ ORACLE_MAX_ITER = 20_000
 #: extendible set, so a bound of 1e-7 would leave near-boundary targets
 #: undecided.
 CERT_RTOL = 1e-10
-
-#: Barrier path following: the start sets S = X - t I this far above singular,
-#: a Newton decrement below BARRIER_CENTRED counts as centred (and takes a
-#: full step), and each centred step divides mu by BARRIER_SHRINK.
-BARRIER_START_GAP = 1.0 / 32.0
-BARRIER_CENTRED = 1.0
-BARRIER_SHRINK = 50.0
-
-_EYE4 = np.eye(4)
-_I2_AXES = I2.reshape(1, 2, 1, 2)
 
 
 class OracleStatus(str, enum.Enum):
@@ -198,13 +192,7 @@ class ExtensionProblem:
         # one eigenvalue from -1.01e-7 to -0.5, three Dirichlet(1, 1, 1)
         # weights) ended 987 INCONCLUSIVE at a 2000-step cap, 59 raised
         # NumericalFailure and 354 were certified infeasible.
-        # A Cholesky factor of target + tol I accepts, so an accepted target
-        # is eigendecomposed once, by barrier_feasibility; the spectrum
-        # decides the rest.
-        try:
-            np.linalg.cholesky(m + self.tol * _EYE4)
-        except np.linalg.LinAlgError:
-            _require_psd(m, self.tol)
+        _require_psd(m, self.tol)
         m.setflags(write=False)
         object.__setattr__(self, "target", m)
 
@@ -251,67 +239,18 @@ class OracleResult:
     certificate: np.ndarray | None = None
 
 
-def _swap(m: np.ndarray) -> np.ndarray:
-    """swap(Y, Y') m swap(Y, Y') as a permutation of tensor axes."""
-    return m.reshape(2, 2, 2, 2, 2, 2).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
-
-
-def _tensor_eye(a: np.ndarray) -> np.ndarray:
-    """``np.kron(a, I2)`` as a broadcast product."""
-    rows, cols = a.shape
-    return (a[:, None, :, None] * _I2_AXES).reshape(2 * rows, 2 * cols)
-
-
-def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The PSD part v diag(max(w, 0)) v^dag of v diag(w) v^dag, v with
-    orthonormal columns: the PSD projection of the Hermitian matrix with
-    eigenpairs (w, v), or, for v = Q u, the lift Q P Q^dag of the PSD
-    projection P of the matrix with eigenpairs (w, u)."""
-    out = (v * np.maximum(w, 0.0)) @ linalg.dagger(v)
-    return (out + linalg.dagger(out)) / 2.0
-
-
-def _residual(y: np.ndarray, target: np.ndarray) -> float:
-    """Constraint residual of a PSD iterate: both marginals and swap symmetry.
-
-    On the axes (x, y, y') of y, the marginal of swap(y) on X (x) Y' is
-    tr_Y(y), and sqrt is monotone, so the largest of the three norms is one
-    square root.
-    """
-    t = y.reshape(2, 2, 2, 2, 2, 2)
-    marginal = target.reshape(2, 2, 2, 2)
-    r1 = t.trace(axis1=2, axis2=5) - marginal
-    r2 = t.trace(axis1=1, axis2=4) - marginal
-    r3 = t - t.transpose(0, 2, 1, 3, 5, 4)
-    return math.sqrt(max(np.vdot(r1, r1).real, np.vdot(r2, r2).real, np.vdot(r3, r3).real))
-
-
 def barrier_feasibility(problem: ExtensionProblem) -> OracleResult:
-    """Log-det barrier path-following search for a symmetric extension.
+    """Search for a symmetric extension of ``problem.target`` with the
+    log-det barrier method of the module docstring.
 
-    Maximizes t subject to X(z) - t I being positive definite over the
-    affine set A = {X(z) = x0 + sum_k z_k B_k}, with x0 the least-norm
-    point of A and B an orthonormal basis of L. Each iteration is one
-    (possibly damped) Newton step on -t/mu - log det(X - t I), and
-    ``iterations`` counts these steps; mu is divided by BARRIER_SHRINK
-    after every step taken from a centred point. The start point and every
-    iterate are checked for both proofs, so a target whose x0 is already
-    positive definite returns x0 after 0 steps:
-
-    - FEASIBLE: X itself once it is positive definite, or its PSD
-      projection once that projection's residual is at most ``tol``.
-    - INFEASIBLE: W = P_{L^perp}(mu S^-1) + c I, with S = X - t I and c
-      lifting W to PSD, once <W, x0> < -CERT_RTOL * max(1, ||W||_F).
-
-    The target is eigendecomposed once: its Choi rank
-    (``channels.rank_and_cp``) routes it, and at rank 2 or 3 its
-    eigenvectors give the face on which the same method runs first (see
-    the module docstring). Steps there count in ``iterations``; a witness
-    found there is lifted to 8x8 and accepted by the same residual rule,
-    and a certificate of the face by facial reduction's lifting step,
-    accepted by the same CERT_RTOL rule. A run with neither proof ends
-    INCONCLUSIVE at ``problem.max_iter`` steps, with the residual of the
-    last iterate's PSD projection.
+    The target is eigendecomposed once, and its Choi rank
+    (``channels.rank_and_cp``) routes it: ranks 2 and 3 are searched on
+    their face first. ``iterations`` counts the Newton steps of both
+    spaces. The answer is FEASIBLE with an 8x8 witness whose residual is
+    at most ``problem.tol``, INFEASIBLE with an 8x8 PSD certificate W with
+    <W, x0> < -CERT_RTOL * max(1, ||W||_F), or INCONCLUSIVE at
+    ``problem.max_iter`` steps, with the residual of the last iterate's PSD
+    projection.
     """
     from ._barrier import decide  # compiled on first use, not by `import qdeg`
 

@@ -22,6 +22,7 @@ from qdeg.channels import (
     bloch_from_choi,
     choi_from_bloch,
     choi_from_kraus,
+    choi_rank,
     completely_depolarizing,
     dephasing,
     depolarizing,
@@ -45,6 +46,7 @@ from qdeg.classify import (
     rank4_antidegradable,
     self_complementary_test,
     unital_antidegradable,
+    verdict_kernel,
 )
 from qdeg.errors import InvalidParameter, NotAChannel, NotApplicable, NotCompletelyPositive, WrongRank
 from qdeg.symext import oracle_extendible
@@ -125,6 +127,20 @@ class TestRank2ClosedForms:
     def test_non_finite_angles_rejected(self, alpha, beta):
         # NaN once gave margin nan, and inf a bare ValueError from math.cos
         with pytest.raises(InvalidParameter, match="finite"):
+            Rank2Params(alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        pytest.param(10**400, 0.0, id="past-the-float-range"),
+        pytest.param(None, 0.0, id="none"),
+        pytest.param(0.0, "0.3", id="string"),
+        pytest.param(1e308, 0.0, id="double-overflows"),
+        pytest.param(0.0, -1e308, id="negative-double-overflows"),
+    ])
+    def test_angles_whose_double_is_not_finite_rejected(self, alpha, beta):
+        # 10**400 and None raised numpy's TypeError, and at 1e308 each
+        # closed form raised "ValueError: math domain error", as 2 * alpha
+        # overflowed inside math.cos
+        with pytest.raises(InvalidParameter, match=r"^(alpha|beta) must be a real number whose double is finite"):
             Rank2Params(alpha, beta)
 
     def test_small_angles_degradable(self):
@@ -395,6 +411,18 @@ class TestClassify:
         rep = classify(c, 0.2499)
         assert rep.choi_rank == 4
         assert rep.degradable.state is NO and rep.degradable.margin == -2.0
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    def test_tol_at_or_below_zero_is_rejected(self, tol):
+        # at tol -1 the CP gate refused a CP matrix: classify raised
+        # NotAChannel and verdict_kernel answered cp=False; at tol 0 the gate
+        # refuses the rounding error of a zero eigenvalue
+        channel = depolarizing(0.4)
+        c = choi_from_kraus(channel)
+        for verdict in (lambda: classify(channel, tol=tol), lambda: verdict_kernel(c.matrix, tol=tol),
+                        lambda: choi_rank(c, tol)):
+            with pytest.raises(InvalidParameter, match=rf"^tol must be a number > 0, got {tol!r}$"):
+                verdict()
 
     def test_unital_edge_of_cp_set(self):
         # Bell weights (4 + 3e-9, -1e-9, -1e-9, -1e-9): Choi eigenvalue -5e-10, inside the gate

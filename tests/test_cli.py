@@ -343,6 +343,17 @@ class TestOracleCommand:
         assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
         verify_certificate(w, choi_from_kraus(identity()).matrix / 2)
 
+    def test_inconclusive_run_writes_no_file(self, tmp_path, capsys):
+        # a rank-4 target that takes 6 steps, stopped after one
+        path = write_spec(tmp_path, {"kind": "named", "name": "unital", "lambda": [0.75, 0.5, 0.3]})
+        proof = tmp_path / "proof.json"
+        code, out, _ = run(capsys, ["oracle", path, "--max-iter", "1", "--out", str(proof)])
+        assert code == 0
+        doc = json.loads(out)["oracle"]
+        assert (doc["status"], doc["iterations"]) == ("inconclusive", 1)
+        assert doc["residual"] == pytest.approx(0.05376306431655862, rel=1e-9)
+        assert not proof.exists()
+
     @pytest.mark.parametrize("alpha, beta", [(3.032364, 2.224702), (2.075022, 2.926280)])
     def test_target_just_inside_oracle_tol_decided(self, tmp_path, capsys, alpha, beta):
         # (1 - s) C + s F, with F the swap (the Choi matrix of the transpose
@@ -751,18 +762,26 @@ class TestOverflow:
 
     def test_largest_finite_choi_entries_fail_trace_preservation(self, tmp_path, capsys):
         # the Hermitian part overflowed: it printed "eigenvalue nan ... TP
-        # residual nan", and a library caller under -W error stopped on a warning
+        # residual nan", and a library caller under -W error stopped on a
+        # warning; then the residual's squares overflowed, and it printed inf
         doc = {"kind": "choi", "matrix": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}
         for command in ("classify", "oracle"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run(capsys, [command, write_spec(tmp_path, doc)])
             assert (code, out) == (2, "")
-            assert err == "error: not a channel: output marginal deviates from identity by inf\n"
+            assert err == "error: not a channel: output marginal deviates from identity by 1.000e+308\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotTracePreserving, match=r"^output marginal deviates from identity by inf$"):
+            with pytest.raises(NotTracePreserving, match=r"^output marginal deviates from identity by 1\.000e\+308$"):
                 validate_choi(np.diag([1e308, 0.0, 0.0, 1.0]))
+
+    def test_overflowing_marginal_reads_inf(self):
+        # 1.7e308 + 1.7e308 overflows in the marginal itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotTracePreserving, match=r"^output marginal \(row 1\) deviates from identity by inf$"):
+                validate_choi(np.stack([np.eye(4) / 2, np.diag([1.7e308, 1.7e308, 0.0, 0.0])]))
 
     def test_overflowing_choi_entries_are_not_finite(self, tmp_path, capsys):
         doc = {"kind": "bloch", "t": [0, 0, 0], "lambda": [1e308, 1e308, 1e308]}

@@ -36,7 +36,7 @@ from qdeg.channels import (
 )
 from qdeg.classify import antidegradable_test
 from qdeg.errors import InvalidDimension, InvalidParameter, NotAChannel, NotPSD
-from qdeg._barrier import _face, _search, barrier, face_search, lift_certificate
+from qdeg._barrier import _face, _full_face, _psd_part, _search, _swap, _tensor_eye, barrier, lift_certificate
 from qdeg.linalg import _partial_trace
 from qdeg.symext import (
     ORACLE_MAX_ITER,
@@ -46,9 +46,6 @@ from qdeg.symext import (
     barrier_feasibility,
     oracle_extendible,
     _gated_problem,
-    _psd_part,
-    _swap,
-    _tensor_eye,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -111,9 +108,18 @@ class TestProjectPsd:
 
 
 def full_face(target):
-    """The full space's search, the face of R = C^4, with its start point lifted to 8x8."""
-    x0, basis, directions, q = face_search(target, np.eye(4), 4)
-    return q @ x0 @ q.conj().T, basis, directions, q
+    """The full space, the face of R = C^4: its start point lifted to 8x8,
+    the real views of its free directions as rows, its directions and Q."""
+    face = _full_face()
+    d, q = face.directions, face.q
+    return q @ _search(face, target) @ q.conj().T, d[:-1].reshape(len(d) - 1, -1).view(np.float64), d, q
+
+
+def face_of(target, vectors, rank):
+    """The face of a target of Choi rank ``rank``, R spanned by the last
+    ``rank`` columns of ``vectors``, and its start point."""
+    face = _full_face() if rank == 4 else _face(vectors[:, 4 - rank:])
+    return face, _search(face, target)
 
 
 class TestProjectMarginal:
@@ -199,7 +205,7 @@ class TestExtensionProblem:
     @pytest.mark.parametrize("scale", [0.5, 0.8, 0.9, 1.1, 1.25, 2.0])
     def test_spectrum_gate_agrees_with_cholesky_gate(self, scale):
         # oracle_extendible reads lambda_min(C) / 2 from the CP gate's
-        # spectrum, ExtensionProblem factors target + tol I. The unital
+        # spectrum, ExtensionProblem from the target's own. The unital
         # channel lambda = (1 + d)(1, 1, 1) has Choi eigenvalues -d / 2
         # (three times) and 2 + 3 d / 2; a unitary on the output keeps them
         tol = 1e-12
@@ -407,9 +413,10 @@ class TestBarrier:
         for _ in range(40):
             c = choi_from_kraus(random_channel(rng, env_dim=2))
             problem = ExtensionProblem(target=c.matrix / 2)
-            face = face_search(problem.target, c.eigen.eigenvectors, 2)
-            assert len(face[2]) == 1  # one point: its only direction is -I
-            result, steps = barrier(problem, face)
+            face, x0 = face_of(problem.target, c.eigen.eigenvectors, 2)
+            assert len(face.directions) == 1  # one point: its only direction is -I
+            result = barrier(problem, face, x0)
+            steps = result.iterations
             r = oracle_extendible(c)
             assert steps == 0 and r.iterations == 0 and r.status is result.status
             if r.status is OracleStatus.FEASIBLE:
@@ -417,7 +424,7 @@ class TestBarrier:
                 on_face += 1
             else:
                 assert r.status is OracleStatus.INFEASIBLE
-                w, v = np.linalg.eigh(face[0])
+                w, v = np.linalg.eigh(x0)
                 assert w[0] < 0
                 assert np.linalg.norm(result.certificate - np.outer(v[:, 0], v[:, 0].conj())) <= 1e-12
                 verify_certificate(r.certificate, problem.target)
@@ -435,11 +442,11 @@ class TestBarrier:
             if antidegradable_test(c).margin >= -1e-3:
                 continue
             target = c.matrix / 2
-            face = _face(c.eigen.eigenvectors[:, 4 - rank:])
-            search = _search(face, target)
-            result, steps = barrier(ExtensionProblem(target=target), search)
+            face, x0 = face_of(target, c.eigen.eigenvectors, rank)
+            result = barrier(ExtensionProblem(target=target), face, x0)
+            steps = result.iterations
             assert result.status is OracleStatus.INFEASIBLE
-            w = lift_certificate(face, target, result.certificate, search[0])
+            w = lift_certificate(face, target, result.certificate, x0)
             verify_certificate(w, target)
             r = oracle_extendible(c)
             assert r.status is OracleStatus.INFEASIBLE and r.iterations == steps
@@ -460,11 +467,11 @@ class TestBarrier:
         alpha = float(np.arccos(-margin / (2 * np.cos(2 * beta)))) / 2
         c = choi_from_kraus(rank2(alpha, beta))
         target = c.matrix / 2
-        face = _face(c.eigen.eigenvectors[:, 2:])
-        search = _search(face, target)
-        result, face_steps = barrier(ExtensionProblem(target=target), search)
+        face, x0 = face_of(target, c.eigen.eigenvectors, 2)
+        result = barrier(ExtensionProblem(target=target), face, x0)
+        face_steps = result.iterations
         assert face_steps == 0 and result.status is OracleStatus.INFEASIBLE
-        assert lift_certificate(face, target, result.certificate, search[0]) is None
+        assert lift_certificate(face, target, result.certificate, x0) is None
         r = oracle_extendible(c)
         assert (r.status, r.iterations) == (status, steps)
         _decided_with_proof(r, target)
@@ -520,13 +527,30 @@ class TestBarrier:
         assert np.isfinite(r.residual) and r.witness is None and r.certificate is None
 
     def test_face_run_at_the_cap_is_left_to_the_full_space(self):
-        # a rank-3 face run that reaches the cap answers nothing; the full
+        # a rank-3 face run that reaches the cap is INCONCLUSIVE; the full
         # space counts on from the face's steps, so it checks its start
         # point once, at the cap
         rng = np.random.default_rng(16)
         channels = (choi_from_kraus(random_channel(rng, env_dim=3)) for _ in range(200))
         c = next(c for c in channels if oracle_extendible(c).iterations > 1)
         r = oracle_extendible(c, max_iter=1)
+        assert r.status is OracleStatus.INCONCLUSIVE and r.iterations == 1
+        assert np.isfinite(r.residual) and r.witness is None and r.certificate is None
+
+    def test_face_run_at_the_cap_is_inconclusive(self):
+        # the barrier answers on a face as in the full space: a run that
+        # reaches the cap is INCONCLUSIVE at the cap, with the residual of
+        # its last iterate and no proof (a face run once returned None here)
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            c = choi_from_kraus(random_channel(rng, env_dim=3))
+            target = c.matrix / 2
+            face, x0 = face_of(target, c.eigen.eigenvectors, 3)
+            if barrier(ExtensionProblem(target=target), face, x0).iterations >= 2:
+                break
+        else:
+            pytest.fail("no rank-3 face run took 2 steps")
+        r = barrier(ExtensionProblem(target=target, max_iter=1), face, x0)
         assert r.status is OracleStatus.INCONCLUSIVE and r.iterations == 1
         assert np.isfinite(r.residual) and r.witness is None and r.certificate is None
 
@@ -610,7 +634,8 @@ class TestFace:
         for _ in range(20):
             target = choi_from_kraus(random_channel(rng, env_dim=rank)).matrix / 2
             _, v = np.linalg.eigh(target)
-            x0, _, directions, q = face_search(target, v, rank)
+            face, x0 = face_of(target, v, rank)
+            directions, q = face.directions, face.q
             dim = len(swap_signs)
             assert q.shape == (8, dim)
             assert np.linalg.norm(q.conj().T @ q - np.eye(dim)) <= 1e-12
@@ -633,7 +658,8 @@ class TestFace:
         c = np.kron(np.diag([1.0, 0.0]), rho) + np.kron(np.diag([0.0, 1.0]), np.outer(psi, psi.conj()))
         target = c / 2
         _, v = np.linalg.eigh(target)
-        x0, _, _, q = face_search(target, v, 3)
+        face, x0 = face_of(target, v, 3)
+        q = face.q
         assert q.shape == (8, 5)
         assert np.linalg.norm(SWAP_YYP @ q - q * [1, 1, 1, 1, -1]) <= 1e-12
         assert np.linalg.norm(trace_last_qubit(q @ x0 @ q.conj().T) - target) <= 1e-12
